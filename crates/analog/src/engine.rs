@@ -12,11 +12,11 @@
 //!   and evaluates batches purely — every mutable bit of an evaluation
 //!   (noise index, counters) is passed in.
 //! - [`HmgmCimEngine`] is one *session* over that fabric: it owns the
-//!   counter-based [`NoiseStream`] cursor and the [`EngineStats`].
+//!   counter-based [`NoiseStream`] cursor and the [`EngineStats`], and
+//!   evaluates every batch from its own cursor.
 //!   [`HmgmCimEngine::fork_session`] spawns additional sessions that share
-//!   the `Arc`'d fabric, and a serving layer can coalesce many sessions'
-//!   queries into one [`CimCompute::eval_segments`] call (each segment
-//!   carrying its own stream) with bit-identical per-session results.
+//!   the `Arc`'d fabric, so a fleet of agents runs on one substrate with
+//!   each session bit-identical to a solo engine.
 
 use std::sync::Arc;
 
@@ -286,45 +286,13 @@ impl CodeLut {
     }
 }
 
-/// One session's slice of a coalesced batch: points
-/// `[start, next segment's start)` draw their noise from `stream`,
-/// session-locally — point `start + k` uses stream index `cursor + k`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NoiseSegment {
-    /// Batch index at which this segment begins.
-    pub start: usize,
-    /// The owning session's noise stream, cursor positioned at the
-    /// segment's first evaluation.
-    pub stream: NoiseStream,
-}
-
-/// Reusable DAC scratch buffers for [`CimCompute::eval_segments`]
+/// Reusable DAC scratch buffers for [`CimCompute`] evaluation
 /// (sequential single-chunk path only; threaded chunks carry their own).
-#[derive(Debug, Default)]
-pub struct EvalScratch {
+#[derive(Debug, Clone, Default)]
+struct EvalScratch {
     voltages: Vec<f64>,
     codes: Vec<usize>,
     prune: PruneScratch,
-    /// Per-segment column-activation tallies of the gated LUT path,
-    /// zeroed each call (atomics: one segment's tiles may land in
-    /// concurrently-running chunks).
-    acts: Vec<AtomicU64>,
-}
-
-// Manual impl: `AtomicU64` is not `Clone`; snapshot the tallies.
-impl Clone for EvalScratch {
-    fn clone(&self) -> Self {
-        Self {
-            voltages: self.voltages.clone(),
-            codes: self.codes.clone(),
-            prune: self.prune.clone(),
-            acts: self
-                .acts
-                .iter()
-                .map(|a| AtomicU64::new(a.load(Ordering::Relaxed)))
-                .collect(),
-        }
-    }
 }
 
 /// Column-gating state compiled alongside the fabric: the spatial index
@@ -350,9 +318,8 @@ struct CimPrune {
 /// Every field is fixed at build time (process variation is drawn once in
 /// [`HmgmCimEngine::build`]), so a `CimCompute` is freely shared across
 /// threads behind an `Arc` — sessions own only their noise cursor and
-/// counters. Evaluation is pure: the caller passes the noise assignment
-/// ([`NoiseSegment`]s) and receives pre-noise currents for its own
-/// bookkeeping.
+/// counters. Evaluation is pure: the calling session passes its noise
+/// stream and receives pre-noise currents for its own bookkeeping.
 #[derive(Debug, Clone)]
 pub struct CimCompute {
     array: CimArray,
@@ -397,66 +364,34 @@ impl CimCompute {
         self.noise_seed
     }
 
-    /// Evaluates a (possibly multi-session) batch against the fabric.
-    ///
-    /// `segments` assigns noise: the points of `[seg.start, next.start)`
-    /// belong to the session whose stream is `seg.stream`, and point
-    /// `seg.start + k` draws `seg.stream.at(cursor + k)`. With a single
-    /// segment this is exactly the engine's own batch evaluation; with
-    /// many, each segment's outputs are bit-identical to the owning
-    /// session evaluating its sub-batch alone — the invariant the serving
-    /// layer's cross-agent batcher is built on. Pre-noise currents land in
-    /// `currents` so each session can fold its slice into its stats in
-    /// index order (see [`HmgmCimEngine::absorb_served_evals`]).
-    ///
-    /// Segments must start at 0, be strictly increasing, and lie inside
-    /// the batch. Nothing in `self` mutates; `scratch` is buffer reuse
-    /// only.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch, output/current length mismatch, or an
-    /// invalid segment list.
-    pub fn eval_segments(
-        &self,
-        batch: &PointBatch,
-        segments: &[NoiseSegment],
-        out: &mut [f64],
-        currents: &mut [f64],
-        policy: par::ChunkPolicy,
-        scratch: &mut EvalScratch,
-    ) {
-        self.eval_segments_counted(batch, segments, out, currents, policy, scratch, None);
-    }
-
-    /// [`Self::eval_segments`] that additionally reports per-segment
-    /// column activations into `seg_activations` (same length as
-    /// `segments`), so each owning session can price its gated DAC drive
-    /// (see [`HmgmCimEngine::absorb_served_evals_gated`]). Without
-    /// gating every segment reports `len × columns`.
+    /// Evaluates `batch` against the fabric: point `k` draws its noise
+    /// from `stream.at(stream.cursor() + k)`, pre-noise currents land in
+    /// `currents` (for the session's index-order stats fold) and the
+    /// return value is the number of column activations driven. Nothing
+    /// in `self` mutates; `scratch` is buffer reuse only.
     ///
     /// Column gating, when compiled in ([`HmgmCimEngine::build_with_pruning`])
     /// and on the LUT path, works in fixed tiles of [`PRUNE_TILE`]
-    /// consecutive points anchored at each segment's start: the tile's
+    /// consecutive points anchored at batch index 0: the tile's
     /// clamped+padded AABB is intersected with the culling index and only
-    /// surviving columns are driven. Anchoring at segment starts makes
-    /// the gating decisions — and therefore the output bits — invariant
-    /// under chunk policy *and* under coalescing (a segment's points see
-    /// the same tiles whether served solo or inside a mega-batch), while
-    /// noise draws stay tied to per-session absolute indices as always.
-    /// A tile containing any non-finite coordinate falls back to the
-    /// full column set, bit-identical to the ungated path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn eval_segments_counted(
+    /// surviving columns are driven. Anchoring at absolute batch indices
+    /// makes the gating decisions — and therefore the output bits —
+    /// invariant under the chunk policy. A tile containing any non-finite
+    /// coordinate falls back to the full column set, bit-identical to the
+    /// ungated path.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch or output/current length mismatch.
+    fn eval(
         &self,
         batch: &PointBatch,
-        segments: &[NoiseSegment],
+        stream: NoiseStream,
         out: &mut [f64],
         currents: &mut [f64],
         policy: par::ChunkPolicy,
         scratch: &mut EvalScratch,
-        seg_activations: Option<&mut [u64]>,
-    ) {
+    ) -> u64 {
         check_batch_shape(self.map.dim(), batch, out);
         assert_eq!(
             out.len(),
@@ -465,23 +400,8 @@ impl CimCompute {
         );
         let n = batch.len();
         if n == 0 {
-            if let Some(acts_out) = seg_activations {
-                acts_out.fill(0);
-            }
-            return;
+            return 0;
         }
-        assert!(
-            !segments.is_empty() && segments[0].start == 0,
-            "segments must cover the batch from index 0"
-        );
-        assert!(
-            segments.windows(2).all(|w| w[0].start < w[1].start),
-            "segment starts must be strictly increasing"
-        );
-        assert!(
-            segments[segments.len() - 1].start < n,
-            "segment start past the end of the batch"
-        );
         let dim = self.dacs.len();
         scratch.voltages.resize(dim, 0.0);
         scratch.codes.resize(LANES * dim, 0);
@@ -493,47 +413,20 @@ impl CimCompute {
         let lut = self.lut.as_ref();
         let i_floor = self.tech.i_leak * 0.01;
         let gm_denom = self.tech.slope_n * self.tech.u_t;
-        // The standard normal for batch point `idx`, resolved through a
-        // monotone segment cursor: every evaluation path consumes its
-        // chunk's indices in increasing order, so after one binary
-        // search at the chunk's first point the cursor only ever steps
-        // forward — O(1) amortized per point, where a per-point
-        // `partition_point` becomes a visible share of noise lookup
-        // once a coalesced batch carries many sessions' segments. The
-        // lookup stays pure in (segments, idx), so chunk boundaries and
-        // thread counts remain unobservable in the output bits.
-        struct SegCursor<'a> {
-            segments: &'a [NoiseSegment],
-            pos: usize,
-        }
-        impl SegCursor<'_> {
-            fn z(&mut self, idx: usize) -> f64 {
-                while self.pos + 1 < self.segments.len() && self.segments[self.pos + 1].start <= idx
-                {
-                    self.pos += 1;
-                }
-                let seg = &self.segments[self.pos];
-                seg.stream
-                    .at(seg.stream.cursor() + (idx - seg.start) as u64)
-            }
-        }
-        let cursor_at = |idx: usize| SegCursor {
-            segments,
-            pos: segments.partition_point(|s| s.start <= idx) - 1,
-        };
+        let base = stream.cursor();
         // Noise + ADC stage, shared by every evaluation path; pure in
         // (index, pre-noise current).
-        let finish = |cursor: &mut SegCursor<'_>, idx: usize, i_total: f64| -> (f64, f64) {
+        let finish = |idx: usize, i_total: f64| -> (f64, f64) {
             // Subthreshold-style transconductance estimate for the
             // noise scale; the counter-based z keeps the draw tied
-            // to the absolute evaluation index of the owning session.
+            // to the absolute evaluation index of the session.
             let gm = i_total / gm_denom;
-            let z = cursor.z(idx);
+            let z = stream.at(base + idx as u64);
             let i_noisy = (i_total + noise.sample_with_z(gm, i_total, z)).max(i_floor);
             (adc.convert(i_noisy), i_total)
         };
         // Direct device-model evaluation of one point.
-        let eval_direct = |cursor: &mut SegCursor<'_>, idx: usize, voltages: &mut [f64]| {
+        let eval_direct = |idx: usize, voltages: &mut [f64]| {
             for ((v, &x), (axis, dac)) in voltages
                 .iter_mut()
                 .zip(batch.point(idx))
@@ -541,7 +434,7 @@ impl CimCompute {
             {
                 *v = dac.convert(axis.to_voltage(x));
             }
-            finish(cursor, idx, array.total_current(voltages))
+            finish(idx, array.total_current(voltages))
         };
         // DAC codes of point `idx` into `codes[p*dim..]`.
         let codes_for = |idx: usize, p: usize, codes: &mut [usize]| {
@@ -553,39 +446,25 @@ impl CimCompute {
                 *c = dac.code_for(axis.to_voltage(x)) as usize;
             }
         };
+        let k_cols = self.array.num_columns() as u64;
         if let (Some(gate), Some(lut)) = (self.prune.as_ref(), lut) {
-            // Column-gated LUT path. Tiles anchor at segment starts (see
-            // the method docs); pieces are chunk ∩ segment ∩ tile, each
-            // evaluated over the full tile's survivor set so chunk and
-            // segment geometry never leak into the gating decision.
-            // Activations are counted per segment through atomics because
-            // one segment's tiles may land in concurrently-running
-            // chunks; the sums are exact u64 counts, so the tally is
-            // deterministic regardless of interleaving.
-            let k_cols = self.array.num_columns() as u64;
-            // Per-segment tallies live in the reusable scratch so the
-            // steady state stays allocation-free once the scratch has
-            // grown to the segment count.
-            scratch.acts.clear();
-            scratch
-                .acts
-                .resize_with(segments.len(), || AtomicU64::new(0));
-            let acts = &scratch.acts;
-            let seg_end_of = |si: usize| segments.get(si + 1).map_or(n, |s| s.start);
+            // Column-gated LUT path. Pieces are chunk ∩ tile, each
+            // evaluated over the full tile's survivor set so chunk
+            // geometry never leaks into the gating decision. Activations
+            // are tallied through an atomic because tiles may land in
+            // concurrently-running chunks; the sum is an exact u64 count,
+            // so the tally is deterministic regardless of interleaving.
+            let acts = AtomicU64::new(0);
             let run_range_gated = |start: usize,
                                    out_chunk: &mut [f64],
                                    cur_chunk: &mut [f64],
                                    codes: &mut [usize],
                                    pscratch: &mut PruneScratch| {
-                let mut cursor = cursor_at(start);
                 let end = start + out_chunk.len();
-                let mut si = segments.partition_point(|s| s.start <= start) - 1;
                 let mut pos = start;
                 while pos < end {
-                    let seg_start = segments[si].start;
-                    let seg_end = seg_end_of(si);
-                    let tile_lo = seg_start + ((pos - seg_start) / PRUNE_TILE) * PRUNE_TILE;
-                    let tile_hi = (tile_lo + PRUNE_TILE).min(seg_end);
+                    let tile_lo = (pos / PRUNE_TILE) * PRUNE_TILE;
+                    let tile_hi = (tile_lo + PRUNE_TILE).min(n);
                     let piece_end = end.min(tile_hi);
                     let cands = gate.index.candidates_for_points_clamped(
                         batch.flat_range(tile_lo, tile_hi),
@@ -597,41 +476,14 @@ impl CimCompute {
                     let mut i = pos;
                     match cands {
                         Some(cols) => {
-                            acts[si].fetch_add(piece * cols.len() as u64, Ordering::Relaxed);
+                            acts.fetch_add(piece * cols.len() as u64, Ordering::Relaxed);
                             while i + LANES <= piece_end {
                                 for p in 0..LANES {
                                     codes_for(i + p, p, codes);
                                 }
                                 let totals = lut.total_current4_cols(codes, cols);
                                 for (p, &i_total) in totals.iter().enumerate() {
-                                    let (o, cur) = finish(&mut cursor, i + p, i_total);
-                                    out_chunk[i + p - start] = o;
-                                    cur_chunk[i + p - start] = cur;
-                                }
-                                i += LANES;
-                            }
-                            for idx in i..piece_end {
-                                codes_for(idx, 0, codes);
-                                let (o, cur) = finish(
-                                    &mut cursor,
-                                    idx,
-                                    lut.total_current_cols(&codes[..dim], cols),
-                                );
-                                out_chunk[idx - start] = o;
-                                cur_chunk[idx - start] = cur;
-                            }
-                        }
-                        None => {
-                            // Non-finite tile: full-array evaluation,
-                            // bit-identical to the ungated path.
-                            acts[si].fetch_add(piece * k_cols, Ordering::Relaxed);
-                            while i + LANES <= piece_end {
-                                for p in 0..LANES {
-                                    codes_for(i + p, p, codes);
-                                }
-                                let totals = lut.total_current4(codes);
-                                for (p, &i_total) in totals.iter().enumerate() {
-                                    let (o, cur) = finish(&mut cursor, i + p, i_total);
+                                    let (o, cur) = finish(i + p, i_total);
                                     out_chunk[i + p - start] = o;
                                     cur_chunk[i + p - start] = cur;
                                 }
@@ -640,16 +492,36 @@ impl CimCompute {
                             for idx in i..piece_end {
                                 codes_for(idx, 0, codes);
                                 let (o, cur) =
-                                    finish(&mut cursor, idx, lut.total_current(&codes[..dim]));
+                                    finish(idx, lut.total_current_cols(&codes[..dim], cols));
+                                out_chunk[idx - start] = o;
+                                cur_chunk[idx - start] = cur;
+                            }
+                        }
+                        None => {
+                            // Non-finite tile: full-array evaluation,
+                            // bit-identical to the ungated path.
+                            acts.fetch_add(piece * k_cols, Ordering::Relaxed);
+                            while i + LANES <= piece_end {
+                                for p in 0..LANES {
+                                    codes_for(i + p, p, codes);
+                                }
+                                let totals = lut.total_current4(codes);
+                                for (p, &i_total) in totals.iter().enumerate() {
+                                    let (o, cur) = finish(i + p, i_total);
+                                    out_chunk[i + p - start] = o;
+                                    cur_chunk[i + p - start] = cur;
+                                }
+                                i += LANES;
+                            }
+                            for idx in i..piece_end {
+                                codes_for(idx, 0, codes);
+                                let (o, cur) = finish(idx, lut.total_current(&codes[..dim]));
                                 out_chunk[idx - start] = o;
                                 cur_chunk[idx - start] = cur;
                             }
                         }
                     }
                     pos = piece_end;
-                    if pos >= seg_end {
-                        si += 1;
-                    }
                 }
             };
             if policy.is_single_chunk(n) {
@@ -661,26 +533,19 @@ impl CimCompute {
                     run_range_gated(start, out_chunk, cur_chunk, &mut codes, &mut pscratch);
                 });
             }
-            if let Some(acts_out) = seg_activations {
-                assert_eq!(acts_out.len(), segments.len(), "seg_activations length");
-                for (o, a) in acts_out.iter_mut().zip(acts) {
-                    *o = a.load(Ordering::Relaxed);
-                }
-            }
-            return;
+            return acts.into_inner();
         }
         // One chunk of evaluations. The 4-wide LUT body is the
         // vectorization seam: grouping is per-chunk-internal and the
         // lane math is per-point identical to the scalar/direct path,
         // so chunk boundaries, thread counts and the LUT toggle are
         // all unobservable in the output bits. Noise stays tied to
-        // per-session absolute indices either way.
+        // absolute evaluation indices either way.
         let run_range = |start: usize,
                          out_chunk: &mut [f64],
                          cur_chunk: &mut [f64],
                          voltages: &mut [f64],
                          codes: &mut [usize]| {
-            let mut cursor = cursor_at(start);
             match lut {
                 Some(lut) => {
                     let mut k = 0;
@@ -690,7 +555,7 @@ impl CimCompute {
                         }
                         let totals = lut.total_current4(codes);
                         for (p, &i_total) in totals.iter().enumerate() {
-                            let (o, cur) = finish(&mut cursor, start + k + p, i_total);
+                            let (o, cur) = finish(start + k + p, i_total);
                             out_chunk[k + p] = o;
                             cur_chunk[k + p] = cur;
                         }
@@ -699,8 +564,7 @@ impl CimCompute {
                     // Scalar remainder tail through the same table.
                     for i in k..out_chunk.len() {
                         codes_for(start + i, 0, codes);
-                        let (o, cur) =
-                            finish(&mut cursor, start + i, lut.total_current(&codes[..dim]));
+                        let (o, cur) = finish(start + i, lut.total_current(&codes[..dim]));
                         out_chunk[i] = o;
                         cur_chunk[i] = cur;
                     }
@@ -708,7 +572,7 @@ impl CimCompute {
                 None => {
                     for (i, (o, cur)) in out_chunk.iter_mut().zip(cur_chunk.iter_mut()).enumerate()
                     {
-                        (*o, *cur) = eval_direct(&mut cursor, start + i, voltages);
+                        (*o, *cur) = eval_direct(start + i, voltages);
                     }
                 }
             }
@@ -725,16 +589,8 @@ impl CimCompute {
                 run_range(start, out_chunk, cur_chunk, &mut voltages, &mut codes);
             });
         }
-        if let Some(acts_out) = seg_activations {
-            // Ungated (or direct-path): every evaluation drives every
-            // column.
-            assert_eq!(acts_out.len(), segments.len(), "seg_activations length");
-            let k_cols = self.array.num_columns() as u64;
-            for (si, o) in acts_out.iter_mut().enumerate() {
-                let seg_len = segments.get(si + 1).map_or(n, |s| s.start) - segments[si].start;
-                *o = seg_len as u64 * k_cols;
-            }
-        }
+        // Ungated (or direct-path): every evaluation drives every column.
+        n as u64 * k_cols
     }
 }
 
@@ -939,86 +795,6 @@ impl HmgmCimEngine {
         &self.compute
     }
 
-    /// The session's noise stream (seed + cursor), e.g. for building the
-    /// [`NoiseSegment`] of a coalesced batch.
-    pub fn noise_stream(&self) -> NoiseStream {
-        self.noise_stream
-    }
-
-    /// Evaluates a coalesced multi-session batch against the shared
-    /// fabric (see [`CimCompute::eval_segments`]). This instance acts as
-    /// the *evaluator* — its own cursor and counters are untouched; each
-    /// owning session commits its slice of `currents` through
-    /// [`Self::absorb_served_evals`] afterwards.
-    pub fn serve_segments(
-        &mut self,
-        batch: &PointBatch,
-        segments: &[NoiseSegment],
-        out: &mut [f64],
-        currents: &mut [f64],
-        policy: par::ChunkPolicy,
-    ) {
-        self.compute
-            .eval_segments(batch, segments, out, currents, policy, &mut self.scratch);
-    }
-
-    /// [`Self::serve_segments`] that also reports per-segment column
-    /// activations (see [`CimCompute::eval_segments_counted`]), so each
-    /// owning session can commit its slice through
-    /// [`Self::absorb_served_evals_gated`].
-    pub fn serve_segments_counted(
-        &mut self,
-        batch: &PointBatch,
-        segments: &[NoiseSegment],
-        out: &mut [f64],
-        currents: &mut [f64],
-        policy: par::ChunkPolicy,
-        seg_activations: &mut [u64],
-    ) {
-        self.compute.eval_segments_counted(
-            batch,
-            segments,
-            out,
-            currents,
-            policy,
-            &mut self.scratch,
-            Some(seg_activations),
-        );
-    }
-
-    /// Commits `currents.len()` externally served evaluations (this
-    /// session's slice of a coalesced batch) into the session state:
-    /// advances the noise cursor past the served range and folds the
-    /// pre-noise currents into the stats in index order — exactly the
-    /// bookkeeping [`Self::log_likelihood_into_chunked`] performs after
-    /// evaluating the same points itself, so a served session's state
-    /// stays bit-identical to a solo run.
-    pub fn absorb_served_evals(&mut self, currents: &[f64]) {
-        let slots = currents.len() as u64 * self.compute.array.num_columns() as u64;
-        self.absorb_served_evals_gated(currents, slots);
-    }
-
-    /// [`Self::absorb_served_evals`] with an explicit column-activation
-    /// count for the served range (from
-    /// [`Self::serve_segments_counted`]), so gated sessions price only
-    /// the columns actually driven. `absorb_served_evals` is the
-    /// all-columns special case.
-    pub fn absorb_served_evals_gated(&mut self, currents: &[f64], column_activations: u64) {
-        let n = currents.len();
-        // lint: allow(noise-stream-seq) post-batch cursor commit: the batch already drew .at(cursor + k); advance only publishes the watermark
-        self.noise_stream.advance(n as u64);
-        // Index-order merge: the same left-to-right association scalar
-        // calls would produce, independent of how chunks were assigned.
-        for &i_total in currents {
-            self.stats.current_sum += i_total;
-        }
-        self.stats.evaluations += n as u64;
-        self.stats.dac_conversions += (n * self.compute.dacs.len()) as u64;
-        self.stats.adc_conversions += n as u64;
-        self.stats.column_slots += n as u64 * self.compute.array.num_columns() as u64;
-        self.stats.column_activations += column_activations;
-    }
-
     /// Per-axis `(floors, ceilings)` in *world* units for a given map —
     /// each axis has its own voltage scale, so thin kernels remain
     /// realizable on short axes even when long axes cannot support them.
@@ -1118,25 +894,26 @@ impl HmgmCimEngine {
     ) {
         let n = batch.len();
         self.currents.resize(n, 0.0);
-        let mut currents = std::mem::take(&mut self.currents);
-        // A solo batch is a one-segment coalesced batch: this session's
-        // stream covers everything from index 0.
-        let segments = [NoiseSegment {
-            start: 0,
-            stream: self.noise_stream,
-        }];
-        let mut seg_acts = [0u64];
-        self.compute.eval_segments_counted(
+        let column_activations = self.compute.eval(
             batch,
-            &segments,
+            self.noise_stream,
             out,
-            &mut currents,
+            &mut self.currents,
             policy,
             &mut self.scratch,
-            Some(&mut seg_acts),
         );
-        self.absorb_served_evals_gated(&currents, seg_acts[0]);
-        self.currents = currents;
+        // lint: allow(noise-stream-seq) post-batch cursor commit: the batch already drew .at(cursor + k); advance only publishes the watermark
+        self.noise_stream.advance(n as u64);
+        // Index-order merge: the same left-to-right association scalar
+        // calls would produce, independent of how chunks were assigned.
+        for &i_total in &self.currents {
+            self.stats.current_sum += i_total;
+        }
+        self.stats.evaluations += n as u64;
+        self.stats.dac_conversions += (n * self.compute.dacs.len()) as u64;
+        self.stats.adc_conversions += n as u64;
+        self.stats.column_slots += n as u64 * self.compute.array.num_columns() as u64;
+        self.stats.column_activations += column_activations;
     }
 
     /// Sum of per-point log-likelihoods for a scan (batch-evaluated; an
@@ -1561,12 +1338,12 @@ mod tests {
     }
 
     #[test]
-    fn gated_coalesced_segments_match_solo_sessions() {
-        // Noise-index invariance under gating: a coalesced two-session
-        // mega-batch reproduces each session's solo gated run bit for
-        // bit — tiles anchor at segment starts and noise draws address
-        // per-session absolute indices, so neither coalescing nor gating
-        // perturbs the other.
+    fn split_session_calls_match_one_call() {
+        // Noise-cursor continuity under gating: one session serving a
+        // batch in two `log_likelihood_into` calls reproduces the single
+        // call bit for bit, outputs and stats. The split sits on a
+        // PRUNE_TILE boundary so both histories see the same gating
+        // tiles; noise draws address the session's absolute indices.
         let map = test_map();
         let model = spread_model(&map, 24);
         let config = CimEngineConfig::default();
@@ -1574,52 +1351,18 @@ mod tests {
             HmgmCimEngine::build_with_pruning(&model, map, config, PruneConfig::enabled()).unwrap();
         let c0 = model.kernels()[0].means().to_vec();
         let c1 = model.kernels()[1].means().to_vec();
-        let a = clustered_batch(&c0, 300, 0.01, 55);
+        let a = clustered_batch(&c0, PRUNE_TILE, 0.01, 55);
         let b = clustered_batch(&c1, 277, 0.01, 56);
-        // Solo runs on fresh sessions.
-        let mut solo_a = root.fork_session();
-        let mut solo_b = root.fork_session();
-        let want_a = solo_a.log_likelihood_batch(&a);
-        let want_b = solo_b.log_likelihood_batch(&b);
-        // Coalesced run: one mega-batch, two noise segments.
-        let mut sess_a = root.fork_session();
-        let mut sess_b = root.fork_session();
-        let mut evaluator = root.fork_session();
-        let mut mega = PointBatch::new(3);
-        for p in a.iter() {
-            mega.push(p);
-        }
-        for p in b.iter() {
-            mega.push(p);
-        }
-        let segments = [
-            NoiseSegment {
-                start: 0,
-                stream: sess_a.noise_stream(),
-            },
-            NoiseSegment {
-                start: a.len(),
-                stream: sess_b.noise_stream(),
-            },
-        ];
-        let mut out = vec![0.0; mega.len()];
-        let mut currents = vec![0.0; mega.len()];
-        let mut acts = [0u64; 2];
-        evaluator.serve_segments_counted(
-            &mega,
-            &segments,
-            &mut out,
-            &mut currents,
-            par::ChunkPolicy::exact(37, 3),
-            &mut acts,
-        );
-        assert_eq!(&out[..a.len()], &want_a[..]);
-        assert_eq!(&out[a.len()..], &want_b[..]);
-        sess_a.absorb_served_evals_gated(&currents[..a.len()], acts[0]);
-        sess_b.absorb_served_evals_gated(&currents[a.len()..], acts[1]);
-        assert_eq!(sess_a.stats(), solo_a.stats());
-        assert_eq!(sess_b.stats(), solo_b.stats());
-        assert!(sess_a.stats().column_activations < sess_a.stats().column_slots);
+        let mut whole = a.clone();
+        whole.extend_from_batch(&b);
+        let mut one = root.fork_session();
+        let want = one.log_likelihood_batch(&whole);
+        let mut split = root.fork_session();
+        let mut got = split.log_likelihood_batch(&a);
+        got.extend(split.log_likelihood_batch(&b));
+        assert_eq!(got, want);
+        assert_eq!(split.stats(), one.stats());
+        assert!(split.stats().column_activations < split.stats().column_slots);
     }
 
     #[test]

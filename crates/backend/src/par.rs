@@ -30,6 +30,9 @@
 //! worker count explicitly — benches use it to sweep thread counts and
 //! the property tests use it to prove chunking invariance.
 
+use std::cell::Cell;
+use std::marker::PhantomData;
+
 /// Minimum number of points per chunk before threading is worthwhile.
 ///
 /// Retuned for the vectorized kernels (see `BENCH_kernels.json`): the
@@ -46,10 +49,44 @@
 /// --features parallel --bin bench_kernels -- --threads`: its sweep pins
 /// `(chunk_len, workers)` per batch size with the gate bypassed, and the
 /// batch size where multi-worker rows first beat the single-worker row
-/// is the new break-even. The fleet coalescer
-/// (`navicim-serve`) relies on this same gate — its merged cross-agent
-/// batches exist precisely to cross this threshold.
+/// is the new break-even. Threads working a fleet round
+/// (`navicim-serve`) skip this gate entirely: inside a
+/// [`serial_kernels`] scope the auto policy stays on one worker.
 pub const MIN_CHUNK: usize = 1024;
+
+thread_local! {
+    /// Whether the current thread is inside a [`serial_kernels`] scope.
+    static SERIAL: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as already parallel at a coarser level (a
+/// fleet worker): until the returned guard drops, [`ChunkPolicy::auto`]
+/// batches evaluated on this thread resolve to one worker instead of
+/// spawning kernel threads under the fleet's. Explicit
+/// [`ChunkPolicy::exact`] worker counts still thread. Outputs are
+/// bit-identical either way — only the thread count changes.
+pub fn serial_kernels() -> SerialKernels {
+    SerialKernels {
+        prev: SERIAL.with(|s| s.replace(true)),
+        _thread_bound: PhantomData,
+    }
+}
+
+/// Guard of a [`serial_kernels`] scope; restores the thread's previous
+/// state on drop. Not `Send`: the scope belongs to the thread that
+/// opened it.
+#[derive(Debug)]
+#[must_use = "the serial scope ends when the guard drops"]
+pub struct SerialKernels {
+    prev: bool,
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl Drop for SerialKernels {
+    fn drop(&mut self) {
+        SERIAL.with(|s| s.set(self.prev));
+    }
+}
 
 /// Number of worker threads the host can usefully run.
 pub fn worker_count() -> usize {
@@ -78,7 +115,8 @@ pub struct ChunkPolicy {
 
 impl ChunkPolicy {
     /// The production policy: one chunk per worker, threading only when
-    /// the batch amortizes it.
+    /// the batch amortizes it and the thread is not inside a
+    /// [`serial_kernels`] scope.
     pub fn auto() -> Self {
         Self::default()
     }
@@ -112,6 +150,7 @@ impl ChunkPolicy {
         #[cfg(feature = "parallel")]
         let workers = match self.workers {
             Some(w) => w.max(1),
+            None if SERIAL.with(Cell::get) => 1,
             None => {
                 let min_chunk = self.min_chunk.unwrap_or(MIN_CHUNK).max(1);
                 worker_count().min(n.div_ceil(min_chunk)).max(1)
@@ -336,6 +375,31 @@ mod tests {
         assert_eq!(len, 10);
         assert!(ChunkPolicy::auto().is_single_chunk(10));
         assert!(!ChunkPolicy::exact(3, 1).is_single_chunk(10));
+    }
+
+    #[test]
+    fn serial_scope_pins_auto_to_one_worker_and_nests() {
+        let n = 64 * MIN_CHUNK;
+        let exact = ChunkPolicy::exact(MIN_CHUNK, 2);
+        {
+            let _outer = serial_kernels();
+            {
+                let _inner = serial_kernels();
+                assert_eq!(ChunkPolicy::auto().resolve(n), (n, 1));
+            }
+            // Dropping the inner guard keeps the outer scope in force.
+            assert_eq!(ChunkPolicy::auto().resolve(n), (n, 1));
+            // Explicit worker counts are not the auto policy's to pin.
+            #[cfg(feature = "parallel")]
+            assert_eq!(exact.resolve(n), (MIN_CHUNK, 2));
+        }
+        #[cfg(feature = "parallel")]
+        assert_eq!(
+            ChunkPolicy::auto().resolve(n).1,
+            worker_count().min(64),
+            "the scope ends with its last guard"
+        );
+        assert_eq!(exact.resolve(n).0, MIN_CHUNK);
     }
 
     #[test]

@@ -1,21 +1,15 @@
 //! Fleet-serving throughput benchmark with a machine-readable JSON trail.
 //!
-//! Sweeps agent count × worker count over the two [`Fleet`] serving
-//! modes:
-//!
-//! - `independent` — every session runs its monolithic
-//!   `LocalizationPipeline::step`, i.e. N independent pipelines sharing
-//!   nothing but the scheduler. This is the baseline.
-//! - `coalesced` — per-frame likelihood evaluations from all sessions
-//!   are merged into one `PointBatch` call per backend slot, amortizing
-//!   per-call overheads (and, under `--features parallel`, crossing the
-//!   chunking threshold small per-session batches never reach).
+//! Sweeps agent count × worker count over the [`Fleet`]: every session
+//! runs its own `LocalizationPipeline::step` and workers claim sessions
+//! from one shared queue, the caller's thread included.
 //!
 //! Reported per configuration: aggregate frames/sec across the fleet and
-//! per-agent p50/p99 frame latency. The parity gate re-runs every agent
-//! count in both modes and requires **bit-identical** frame reports —
-//! the determinism contract the serving layer is built on — exiting
-//! non-zero on any mismatch so CI catches rot.
+//! per-agent p50/p99 frame latency (round start to that agent's frame
+//! completion). The parity gate runs every agent count at 1 and 2 workers
+//! and requires frame reports **bit-identical** to solo forks of the same
+//! sessions — the determinism contract the serving layer is built on —
+//! exiting non-zero on any mismatch so CI catches rot.
 //!
 //! Run: `cargo run --release -p navicim-bench --bin bench_serve`
 //!
@@ -28,7 +22,7 @@ use navicim_core::pipeline::{FrameReport, GateConfig, HysteresisConfig, Localiza
 use navicim_core::registry::{CIM_HMGM, DIGITAL_GMM};
 use navicim_gmm::prune::PruneConfig;
 use navicim_scene::dataset::{LocalizationConfig, LocalizationDataset};
-use navicim_serve::{Fleet, FleetConfig, TaskOrder};
+use navicim_serve::{Fleet, FleetConfig};
 use std::time::Instant;
 
 /// Seed for the per-agent session forks (`seed_base + i`).
@@ -69,7 +63,6 @@ fn config() -> LocalizerConfig {
 }
 
 struct Row {
-    mode: &'static str,
     prune: bool,
     agents: usize,
     workers: usize,
@@ -145,12 +138,8 @@ fn main() {
 
     let ds = dataset(smoke);
     let prototype = LocalizationPipeline::build(&ds, config()).expect("prototype builds");
-    // Pruned twin of the serving workload: the spatial index gates
-    // likelihood components per tile, so its outputs drift from the full
-    // evaluation by up to the documented epsilon — and digital tiles
-    // anchor at batch offsets, which coalescing changes. Pruned rows are
-    // therefore a timing column only; the bitwise parity gate below stays
-    // on the prune-off configuration, where coalescing is unobservable.
+    // Pruned twin of the serving workload: a timing column only — the
+    // bitwise parity gate below stays on the prune-off configuration.
     let prototype_pruned = LocalizationPipeline::build(
         &ds,
         LocalizerConfig {
@@ -161,35 +150,25 @@ fn main() {
     .expect("pruned prototype builds");
     let frames = ds.control_deltas().len();
 
-    // ---- parity gate: coalesced ≡ independent, bit-for-bit ----
-    // Independent mode is per-session monolithic stepping — i.e. exactly
-    // the N-solo-pipelines baseline — so equality here *is* the
-    // bit-identity-to-solo guarantee, at fleet scale.
+    // ---- parity gate: fleet ≡ solo forks, bit-for-bit ----
+    // Each agent's solo reference is a fork with the fleet's seed for
+    // that agent, stepped alone over the same frames.
     let mut parity = true;
     for &agents in agent_counts {
-        let (_, _, solo) = run_once(
-            &prototype,
-            &ds,
-            agents,
-            FleetConfig {
-                workers: 1,
-                coalesce: false,
-                order: TaskOrder::Forward,
-            },
-        );
-        let (_, _, coalesced) = run_once(
-            &prototype,
-            &ds,
-            agents,
-            FleetConfig {
-                workers: *worker_counts.last().unwrap(),
-                coalesce: true,
-                order: TaskOrder::Shuffled(7),
-            },
-        );
-        if solo != coalesced {
-            eprintln!("FAIL: coalesced fleet diverged from independent baseline at N={agents}");
-            parity = false;
+        let solo: Vec<Vec<FrameReport>> = (0..agents)
+            .map(|i| {
+                let mut session = prototype
+                    .fork_session(SEED_BASE + i as u64)
+                    .expect("solo fork");
+                session.run(&ds).expect("solo run").frames
+            })
+            .collect();
+        for workers in [1, 2] {
+            let (_, _, fleet) = run_once(&prototype, &ds, agents, FleetConfig { workers });
+            if fleet != solo {
+                eprintln!("FAIL: fleet (workers {workers}) diverged from solo forks at N={agents}");
+                parity = false;
+            }
         }
     }
 
@@ -199,64 +178,47 @@ fn main() {
     // doubling the sweep.
     let max_workers = *worker_counts.last().unwrap();
     let mut rows: Vec<Row> = Vec::new();
-    println!("mode         prune agents workers  agg fps   p50 ms   p99 ms  speedup");
+    println!("prune agents workers  agg fps   p50 ms   p99 ms");
     for &agents in agent_counts {
         for prune in [false, true] {
             for &workers in &worker_counts {
                 if prune && workers != max_workers {
                     continue;
                 }
-                let mut pair_fps = [0.0f64; 2];
-                for (m, (mode, coalesce)) in [("independent", false), ("coalesced", true)]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let mut best_secs = f64::INFINITY;
-                    let mut best_lat: Vec<u64> = Vec::new();
-                    for _ in 0..reps {
-                        let (secs, lat, _) = run_once(
-                            if prune { &prototype_pruned } else { &prototype },
-                            &ds,
-                            agents,
-                            FleetConfig {
-                                workers,
-                                coalesce,
-                                order: TaskOrder::Forward,
-                            },
-                        );
-                        if secs < best_secs {
-                            best_secs = secs;
-                            best_lat = lat;
-                        }
-                    }
-                    best_lat.sort_unstable();
-                    let agg_fps = (agents * frames) as f64 / best_secs;
-                    let p50_ms = percentile_ms(&best_lat, 50.0);
-                    let p99_ms = percentile_ms(&best_lat, 99.0);
-                    pair_fps[m] = agg_fps;
-                    let speedup = if m == 1 {
-                        format!("{:>6.2}x", pair_fps[1] / pair_fps[0])
-                    } else {
-                        "      -".to_string()
-                    };
-                    println!(
-                        "{mode:<12} {:>5} {agents:>6} {workers:>7} {agg_fps:>8.0} {p50_ms:>8.2} {p99_ms:>8.2} {speedup}",
-                        if prune { "on" } else { "off" }
-                    );
-                    rows.push(Row {
-                        mode,
-                        prune,
+                let mut best_secs = f64::INFINITY;
+                let mut best_lat: Vec<u64> = Vec::new();
+                for _ in 0..reps {
+                    let (secs, lat, _) = run_once(
+                        if prune { &prototype_pruned } else { &prototype },
+                        &ds,
                         agents,
-                        workers,
-                        agg_fps,
-                        p50_ms,
-                        p99_ms,
-                    });
+                        FleetConfig { workers },
+                    );
+                    if secs < best_secs {
+                        best_secs = secs;
+                        best_lat = lat;
+                    }
                 }
+                best_lat.sort_unstable();
+                let agg_fps = (agents * frames) as f64 / best_secs;
+                let p50_ms = percentile_ms(&best_lat, 50.0);
+                let p99_ms = percentile_ms(&best_lat, 99.0);
+                println!(
+                    "{:>5} {agents:>6} {workers:>7} {agg_fps:>8.0} {p50_ms:>8.2} {p99_ms:>8.2}",
+                    if prune { "on" } else { "off" }
+                );
+                rows.push(Row {
+                    prune,
+                    agents,
+                    workers,
+                    agg_fps,
+                    p50_ms,
+                    p99_ms,
+                });
             }
         }
     }
-    println!("parity (coalesced ≡ independent baseline): {parity}");
+    println!("parity (fleet at 1 and 2 workers ≡ solo forks): {parity}");
 
     // ---- JSON snapshot ----
     let mut json_rows = String::new();
@@ -265,8 +227,7 @@ fn main() {
             json_rows.push_str(",\n");
         }
         json_rows.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"prune\": {}, \"agents\": {}, \"workers\": {}, \"agg_frames_per_sec\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}",
-            json_escape_free(r.mode),
+            "    {{\"prune\": {}, \"agents\": {}, \"workers\": {}, \"agg_frames_per_sec\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}",
             r.prune,
             r.agents,
             r.workers,

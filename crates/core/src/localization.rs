@@ -24,7 +24,7 @@ use crate::registry::{BackendRegistry, BackendStats, MapBackend, DIGITAL_GMM};
 use crate::Result;
 use navicim_analog::engine::CimEngineConfig;
 use navicim_backend::PointBatch;
-use navicim_filter::filter::{FilterConfig, Measurement};
+use navicim_filter::filter::FilterConfig;
 use navicim_filter::motion::OdometryMotion;
 use navicim_gmm::fit::FitConfig;
 use navicim_gmm::prune::PruneConfig;
@@ -32,19 +32,6 @@ use navicim_math::geom::{Pose, Quat, Vec3};
 use navicim_math::rng::{Rng64, SampleExt};
 use navicim_scene::camera::{DepthCamera, DepthImage};
 use navicim_scene::dataset::LocalizationDataset;
-
-/// How the particle-filter weight step feeds the map backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WeightPath {
-    /// One backend call per particle (the pre-batching behavior; kept for
-    /// A/B benchmarking and equivalence testing).
-    Scalar,
-    /// One backend call per frame: every particle's projected scan points
-    /// are gathered into a single [`PointBatch`]. Bit-identical to
-    /// [`WeightPath::Scalar`] and substantially faster.
-    #[default]
-    Batched,
-}
 
 /// Localizer configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,8 +60,6 @@ pub struct LocalizerConfig {
     /// Analog-engine settings, passed to the backend factory through the
     /// [`MapFitContext`] (digital backends ignore them).
     pub cim: CimEngineConfig,
-    /// How the weight step feeds the backend (scalar vs batched).
-    pub weight_path: WeightPath,
     /// Mixture-fit settings (GMM warm start for both backends).
     pub fit: FitConfig,
     /// Spatial component-pruning knob, compiled into every backend's
@@ -104,7 +89,6 @@ impl Default for LocalizerConfig {
             filter: FilterConfig::default(),
             backend: DIGITAL_GMM.to_string(),
             cim: CimEngineConfig::default(),
-            weight_path: WeightPath::default(),
             fit: FitConfig::default(),
             prune: PruneConfig::default(),
             gate: GateConfig::default(),
@@ -188,8 +172,7 @@ pub(crate) struct ScanScratch {
     pub(crate) counts: Vec<usize>,
     /// Reused per-point log-likelihood buffer.
     pub(crate) lls: Vec<f64>,
-    /// Reused per-particle log-likelihood buffer (the reduce output when
-    /// the evaluation phase runs outside the sensor, see
+    /// Reused per-particle log-likelihood buffer (the reduce output, see
     /// `LocalizationPipeline::finish_frame`).
     pub(crate) particle_lls: Vec<f64>,
 }
@@ -210,12 +193,9 @@ impl Default for ScanScratch {
 /// heavily penalized but finite.
 pub(crate) const BLIND_LL: f64 = -1e3;
 
-/// Phase A of the batched weight step: projects every particle's scan and
-/// stages the frame-wide query batch plus per-particle point counts into
-/// `scratch`. Shared verbatim by [`ScanSensor::log_likelihood_batch`] and
-/// `LocalizationPipeline::begin_frame`, so the split (externally served)
-/// evaluation path is bit-identical to the monolithic one by
-/// construction.
+/// Phase A of the weight step: projects every particle's scan and stages
+/// the frame-wide query batch plus per-particle point counts into
+/// `scratch` (see `LocalizationPipeline::begin_frame`).
 pub(crate) fn stage_scan_batch(
     camera: &DepthCamera,
     obs: &DepthImage,
@@ -234,7 +214,7 @@ pub(crate) fn stage_scan_batch(
     }
 }
 
-/// Phase B of the batched weight step: reduces per-point log-likelihoods
+/// Phase B of the weight step: reduces per-point log-likelihoods
 /// (aligned with the staged batch) to per-particle weights; particles
 /// whose scan projected to no valid points score [`BLIND_LL`].
 pub(crate) fn reduce_scan_lls(sharpness: f64, counts: &[usize], lls: &[f64], out: &mut [f64]) {
@@ -247,87 +227,6 @@ pub(crate) fn reduce_scan_lls(sharpness: f64, counts: &[usize], lls: &[f64], out
         let sum: f64 = lls[offset..offset + count].iter().sum();
         *o = sharpness * sum / count as f64;
         offset += count;
-    }
-}
-
-pub(crate) struct ScanSensor<'a> {
-    map: &'a mut dyn MapBackend,
-    camera: &'a DepthCamera,
-    stride: usize,
-    sharpness: f64,
-    path: WeightPath,
-    scratch: &'a mut ScanScratch,
-}
-
-impl<'a> ScanSensor<'a> {
-    pub(crate) fn new(
-        map: &'a mut dyn MapBackend,
-        camera: &'a DepthCamera,
-        stride: usize,
-        sharpness: f64,
-        path: WeightPath,
-        scratch: &'a mut ScanScratch,
-    ) -> Self {
-        Self {
-            map,
-            camera,
-            stride,
-            sharpness,
-            path,
-            scratch,
-        }
-    }
-
-    /// Reduces one particle's per-point log-likelihoods to its weight.
-    fn reduce(sharpness: f64, sum: f64, count: usize) -> f64 {
-        sharpness * sum / count as f64
-    }
-}
-
-impl Measurement<Pose, DepthImage> for ScanSensor<'_> {
-    fn log_likelihood(&mut self, state: &Pose, obs: &DepthImage) -> f64 {
-        let sharpness = self.sharpness;
-        let scratch = &mut *self.scratch;
-        self.camera
-            .project_to_world_into(obs, *state, self.stride, &mut scratch.points);
-        scratch.batch.clear();
-        for p in &scratch.points {
-            scratch.batch.push_xyz(p.x, p.y, p.z);
-        }
-        if scratch.batch.is_empty() {
-            return BLIND_LL;
-        }
-        scratch.lls.resize(scratch.batch.len(), 0.0);
-        self.map
-            .log_likelihood_into(&scratch.batch, &mut scratch.lls);
-        let sum: f64 = scratch.lls.iter().sum();
-        Self::reduce(sharpness, sum, scratch.lls.len())
-    }
-
-    /// The tentpole weight step: projects every particle's scan, gathers
-    /// all query points into one frame-wide [`PointBatch`] and serves it
-    /// to the map backend in a single call. Bit-identical to the scalar
-    /// path — points are evaluated in the same order, so even the CIM
-    /// engine's noise stream lines up.
-    fn log_likelihood_batch(&mut self, states: &[Pose], obs: &DepthImage, out: &mut [f64]) {
-        assert_eq!(
-            states.len(),
-            out.len(),
-            "output buffer must hold one log-likelihood per state"
-        );
-        if self.path == WeightPath::Scalar {
-            for (o, s) in out.iter_mut().zip(states) {
-                *o = self.log_likelihood(s, obs);
-            }
-            return;
-        }
-        let sharpness = self.sharpness;
-        let scratch = &mut *self.scratch;
-        stage_scan_batch(self.camera, obs, self.stride, states, scratch);
-        scratch.lls.resize(scratch.batch.len(), 0.0);
-        self.map
-            .log_likelihood_into(&scratch.batch, &mut scratch.lls);
-        reduce_scan_lls(sharpness, &scratch.counts, &scratch.lls, out);
     }
 }
 
@@ -556,33 +455,6 @@ mod tests {
         assert_eq!(run.backend, "centroid-map");
         assert!(run.point_evaluations > 0);
         assert!(run.errors.iter().all(|e| e.is_finite()));
-    }
-
-    #[test]
-    fn batched_weight_path_is_bit_identical_to_scalar() {
-        // The tentpole invariant: switching the weight step from
-        // per-particle scalar calls to one frame-wide batch changes
-        // nothing observable — same estimates, same errors, same
-        // evaluation counts — on both backends.
-        let ds = small_dataset();
-        for backend in [DIGITAL_GMM, CIM_HMGM] {
-            let run_with = |path: WeightPath| {
-                let config = LocalizerConfig {
-                    weight_path: path,
-                    ..small_config(backend)
-                };
-                CimLocalizer::build(&ds, config).unwrap().run(&ds).unwrap()
-            };
-            let scalar = run_with(WeightPath::Scalar);
-            let batched = run_with(WeightPath::Batched);
-            assert_eq!(scalar.errors, batched.errors, "{backend}");
-            assert_eq!(scalar.estimates, batched.estimates, "{backend}");
-            assert_eq!(
-                scalar.point_evaluations, batched.point_evaluations,
-                "{backend}"
-            );
-            assert_eq!(scalar.stats, batched.stats, "{backend}");
-        }
     }
 
     #[test]

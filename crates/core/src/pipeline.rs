@@ -27,7 +27,7 @@
 //! `CimLocalizer` is now a thin wrapper over a single-backend pipeline, so
 //! the monolithic API (and its bit-exact behavior) survives unchanged.
 
-use crate::localization::{LocalizerConfig, ScanScratch, ScanSensor, StepSummary};
+use crate::localization::{LocalizerConfig, ScanScratch, StepSummary};
 use crate::registry::{BackendRegistry, BackendStats, MapBackend, MapFitContext};
 use crate::reportfmt::{fmt_pct, Csv, Table};
 use crate::vo::{AdaptiveMcPolicy, BayesianVo};
@@ -2042,6 +2042,12 @@ impl LocalizationPipeline {
     /// predict/weigh/resample step on the gated backend and prices both
     /// compute axes.
     ///
+    /// The frame is [`Self::begin_frame`], then one
+    /// [`navicim_backend::LikelihoodBackend::log_likelihood_into`] call
+    /// of the gated slot's backend over [`Self::staged_batch`], then
+    /// [`Self::finish_frame`] — the one frame path every caller (solo,
+    /// fleet, traced) shares.
+    ///
     /// In closed-loop mode the `control` argument is ignored (the
     /// pipeline navigates on its own estimate); callers without ground
     /// truth odometry may pass [`Pose::IDENTITY`].
@@ -2052,25 +2058,31 @@ impl LocalizationPipeline {
     /// that select an out-of-range slot and closed-loop mode without an
     /// attached [`VoStage`].
     pub fn step(&mut self, control: &Pose, depth: &DepthImage, truth: Pose) -> Result<FrameReport> {
-        let pending = self.prepare_frame(control, depth)?;
-        let mut sensor = ScanSensor::new(
-            self.backends[pending.slot].as_mut(),
-            &self.camera,
-            self.config.pixel_stride,
-            self.config.sharpness,
-            self.config.weight_path,
-            &mut self.scratch,
-        );
-        self.pf.update(depth, &mut sensor, &mut self.rng)?;
-        self.report_frame(pending, truth)
+        let pending = self.begin_frame(control, depth)?;
+        let scratch = &mut self.scratch;
+        scratch.lls.resize(scratch.batch.len(), 0.0);
+        self.backends[pending.slot].log_likelihood_into(&scratch.batch, &mut scratch.lls);
+        let lls = std::mem::take(&mut self.scratch.lls);
+        let report = self.finish_frame(pending, &lls, truth);
+        self.scratch.lls = lls;
+        report
     }
 
-    /// Everything [`Self::step`] does *before* the likelihood
-    /// evaluation: sample the bus, gate, step the VO stage, resolve the
-    /// control and run the motion prediction. Shared verbatim by
-    /// [`Self::step`] and [`Self::begin_frame`], so the split path is
-    /// bit-identical by construction.
-    fn prepare_frame(&mut self, control: &Pose, depth: &DepthImage) -> Result<PendingFrame> {
+    /// The first third of [`Self::step`]: samples the bus, gates, steps
+    /// the VO stage, resolves the control, runs the motion prediction and
+    /// stages the frame-wide scan batch for the predicted cloud into the
+    /// pipeline's scratch, *without* evaluating it. The caller evaluates
+    /// [`Self::staged_batch`] with the pending slot's backend
+    /// ([`Self::backend_mut`], which commits the backend's own noise
+    /// cursor and counters) and completes the frame with
+    /// [`Self::finish_frame`] — exactly what [`Self::step`] does, so a
+    /// caller that times or traces the phases stays bit-identical to it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::step`]'s pre-evaluation half: out-of-range gate
+    /// slots, closed-loop mode without a VO stage.
+    pub fn begin_frame(&mut self, control: &Pose, depth: &DepthImage) -> Result<PendingFrame> {
         let signals = self.signals();
         // Fault detection runs on the same bus snapshot the gate sees:
         // the serving slot's innovation reading from the previous frame.
@@ -2133,6 +2145,13 @@ impl LocalizationPipeline {
         }
         self.pf
             .predict_scaled(&control, &self.config.motion, noise_scale, &mut self.rng);
+        crate::localization::stage_scan_batch(
+            &self.camera,
+            depth,
+            self.config.pixel_stride,
+            self.pf.particles().states(),
+            &mut self.scratch,
+        );
         Ok(PendingFrame {
             slot,
             signals,
@@ -2143,11 +2162,54 @@ impl LocalizationPipeline {
         })
     }
 
-    /// Everything [`Self::step`] does *after* the filter absorbed the
-    /// frame's likelihoods: summary, innovation bookkeeping, stats
-    /// deltas, stream counters, energy pricing. Shared verbatim by
-    /// [`Self::step`] and [`Self::finish_frame`].
-    fn report_frame(&mut self, pending: PendingFrame, truth: Pose) -> Result<FrameReport> {
+    /// The scan batch staged by the last [`Self::begin_frame`]: one
+    /// projected world-frame point cloud per particle, concatenated in
+    /// particle order.
+    pub fn staged_batch(&self) -> &PointBatch {
+        &self.scratch.batch
+    }
+
+    /// The last third of [`Self::step`]: takes the per-point
+    /// log-likelihoods of the staged batch (aligned with
+    /// [`Self::staged_batch`], as produced by the pending slot's
+    /// backend), reduces them to per-particle weights, runs the filter's
+    /// reweigh/resample half, folds the innovation, and emits the frame
+    /// report with its stats delta and energy pricing. The backend call
+    /// must come first so the report sees the frame's evaluations.
+    ///
+    /// # Errors
+    ///
+    /// Rejects `lls` that are not aligned with the staged batch with
+    /// [`CoreError::InvalidArgument`] before touching any state, so the
+    /// call can be retried with the same `pending` (clone it first).
+    /// Otherwise propagates filter degeneracy and pricing errors.
+    pub fn finish_frame(
+        &mut self,
+        pending: PendingFrame,
+        lls: &[f64],
+        truth: Pose,
+    ) -> Result<FrameReport> {
+        if lls.len() != self.scratch.batch.len() {
+            return Err(CoreError::InvalidArgument(format!(
+                "{} per-point log-likelihoods do not align with the {}-point staged batch",
+                lls.len(),
+                self.scratch.batch.len()
+            )));
+        }
+        let sharpness = self.config.sharpness;
+        self.scratch
+            .particle_lls
+            .resize(self.pf.particles().len(), 0.0);
+        let mut particle_lls = std::mem::take(&mut self.scratch.particle_lls);
+        crate::localization::reduce_scan_lls(
+            sharpness,
+            &self.scratch.counts,
+            lls,
+            &mut particle_lls,
+        );
+        let absorbed = self.pf.absorb_log_likelihoods(&particle_lls, &mut self.rng);
+        self.scratch.particle_lls = particle_lls;
+        absorbed?;
         let PendingFrame {
             slot,
             signals,
@@ -2215,90 +2277,9 @@ impl LocalizationPipeline {
         })
     }
 
-    /// Phase A of the split frame step for serving layers: runs
-    /// [`Self::prepare_frame`] (bus, gate, VO, control, motion
-    /// prediction) and stages the frame-wide scan batch for the
-    /// predicted cloud into the pipeline's scratch, *without* evaluating
-    /// it. The caller evaluates [`Self::staged_batch`] against the
-    /// pending slot's backend — possibly coalesced with other sessions —
-    /// commits backend state via [`MapBackend::absorb_served`] on
-    /// [`Self::backend_mut`], and completes the frame with
-    /// [`Self::finish_frame`]. The staged evaluation is the
-    /// [`crate::localization::WeightPath::Batched`] route, which is
-    /// bit-identical to the scalar route (property-tested).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::step`]'s pre-evaluation half: out-of-range gate
-    /// slots, closed-loop mode without a VO stage.
-    pub fn begin_frame(&mut self, control: &Pose, depth: &DepthImage) -> Result<PendingFrame> {
-        let pending = self.prepare_frame(control, depth)?;
-        crate::localization::stage_scan_batch(
-            &self.camera,
-            depth,
-            self.config.pixel_stride,
-            self.pf.particles().states(),
-            &mut self.scratch,
-        );
-        Ok(pending)
-    }
-
-    /// The scan batch staged by the last [`Self::begin_frame`]: one
-    /// projected world-frame point cloud per particle, concatenated in
-    /// particle order.
-    pub fn staged_batch(&self) -> &PointBatch {
-        &self.scratch.batch
-    }
-
-    /// Phase B of the split frame step: takes the per-point
-    /// log-likelihoods of the staged batch (aligned with
-    /// [`Self::staged_batch`], as produced by the pending slot's
-    /// backend), reduces them to per-particle weights, runs the filter's
-    /// reweigh/resample half and emits the frame report.
-    ///
-    /// The caller is responsible for having committed the evaluation to
-    /// the serving backend ([`MapBackend::absorb_served`]) first, so the
-    /// report's stats delta and energy pricing see the frame's
-    /// evaluations.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filter degeneracy and pricing errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lls` is not aligned with the staged batch.
-    pub fn finish_frame(
-        &mut self,
-        pending: PendingFrame,
-        lls: &[f64],
-        truth: Pose,
-    ) -> Result<FrameReport> {
-        assert_eq!(
-            lls.len(),
-            self.scratch.batch.len(),
-            "per-point log-likelihoods must align with the staged batch"
-        );
-        let sharpness = self.config.sharpness;
-        self.scratch
-            .particle_lls
-            .resize(self.pf.particles().len(), 0.0);
-        let mut particle_lls = std::mem::take(&mut self.scratch.particle_lls);
-        crate::localization::reduce_scan_lls(
-            sharpness,
-            &self.scratch.counts,
-            lls,
-            &mut particle_lls,
-        );
-        let absorbed = self.pf.absorb_log_likelihoods(&particle_lls, &mut self.rng);
-        self.scratch.particle_lls = particle_lls;
-        absorbed?;
-        self.report_frame(pending, truth)
-    }
-
-    /// Mutable access to the backend serving `slot` — the hook a serving
-    /// layer uses to commit coalesced evaluations
-    /// ([`MapBackend::absorb_served`]).
+    /// Mutable access to the backend serving `slot` — the hook a caller
+    /// of [`Self::begin_frame`] / [`Self::finish_frame`] evaluates the
+    /// staged batch through.
     ///
     /// # Panics
     ///
@@ -2568,6 +2549,81 @@ mod tests {
         assert_eq!(run.merged_stats(), legacy.stats);
         assert_eq!(run.total_evaluations(), legacy.point_evaluations);
         assert_eq!(run.gate, "always-slot0");
+    }
+
+    #[test]
+    fn per_particle_oracle_matches_step_bit_for_bit() {
+        // `step` weighs a whole frame in one backend call; this oracle
+        // re-projects each particle's scan itself and weighs it through
+        // its own `log_likelihood_into` call. Batch size must be
+        // unobservable — even in the CIM engine's noise stream — so the
+        // reports and stats match bit for bit on both backends.
+        let ds = small_dataset();
+        for backend in [DIGITAL_GMM, CIM_HMGM] {
+            let config = LocalizerConfig {
+                backend: backend.into(),
+                ..small_config(GateConfig::default())
+            };
+            let mut stepped = LocalizationPipeline::build(&ds, config.clone()).unwrap();
+            let mut oracle = LocalizationPipeline::build(&ds, config).unwrap();
+            let mut points = Vec::new();
+            for (t, control) in ds.control_deltas().iter().enumerate() {
+                let frame = &ds.frames[t + 1];
+                let want = stepped.step(control, &frame.depth, frame.pose).unwrap();
+                let pending = oracle.begin_frame(control, &frame.depth).unwrap();
+                let mut lls = Vec::new();
+                for &state in oracle.pf.particles().states() {
+                    oracle.camera.project_to_world_into(
+                        &frame.depth,
+                        state,
+                        oracle.config.pixel_stride,
+                        &mut points,
+                    );
+                    let mut cloud = PointBatch::new(3);
+                    for p in &points {
+                        cloud.push_xyz(p.x, p.y, p.z);
+                    }
+                    let mut out = vec![0.0; cloud.len()];
+                    oracle.backends[pending.slot()].log_likelihood_into(&cloud, &mut out);
+                    lls.extend(out);
+                }
+                let got = oracle.finish_frame(pending, &lls, frame.pose).unwrap();
+                assert_eq!(got, want, "{backend} frame {t}");
+            }
+            assert_eq!(
+                oracle.backend(0).stats(),
+                stepped.backend(0).stats(),
+                "{backend}"
+            );
+        }
+    }
+
+    #[test]
+    fn finish_frame_rejects_misaligned_lls_and_a_retry_succeeds() {
+        let ds = small_dataset();
+        let config = small_config(GateConfig::default());
+        let mut stepped = LocalizationPipeline::build(&ds, config.clone()).unwrap();
+        let mut split = LocalizationPipeline::build(&ds, config).unwrap();
+        let control = ds.control_deltas()[0];
+        let frame = &ds.frames[1];
+        let want = stepped.step(&control, &frame.depth, frame.pose).unwrap();
+        let pending = split.begin_frame(&control, &frame.depth).unwrap();
+        let batch = split.staged_batch().clone();
+        let mut lls = vec![0.0; batch.len()];
+        split
+            .backend_mut(pending.slot())
+            .log_likelihood_into(&batch, &mut lls);
+        let long: Vec<f64> = lls.iter().copied().chain([0.0]).collect();
+        for bad in [&lls[1..], &[][..], &long[..]] {
+            let err = split
+                .finish_frame(pending.clone(), bad, frame.pose)
+                .unwrap_err();
+            assert!(matches!(err, CoreError::InvalidArgument(_)), "{err}");
+        }
+        // The rejected calls touched nothing: the retry is the frame
+        // `step` would have produced.
+        let got = split.finish_frame(pending, &lls, frame.pose).unwrap();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!
 //! - [`MapBackend`] — what the particle filter's weight step needs from a
 //!   map: batched log-likelihood evaluation (the
-//!   [`LikelihoodBackend`] supertrait) plus a name, a component count and
-//!   trait-level [`BackendStats`],
+//!   [`LikelihoodBackend`] supertrait, its one serving call) plus a name,
+//!   a component count, trait-level [`BackendStats`] and session forking
+//!   for fleets, where every session serves its own frames,
 //! - [`BackendRegistry`] — named factories producing
 //!   `Box<dyn MapBackend>` from a [`MapFitContext`] (the dataset's point
 //!   cloud and fit settings); the digital GMM, the digital HMGM and the
@@ -34,10 +35,9 @@
 //! ```
 
 use crate::{CoreError, Result};
-use navicim_analog::engine::{CimEngineConfig, EngineStats, HmgmCimEngine, NoiseSegment};
+use navicim_analog::engine::{CimEngineConfig, EngineStats, HmgmCimEngine};
 use navicim_analog::mapping::SpaceMap;
-use navicim_backend::{check_batch_shape, par, LikelihoodBackend, PointBatch};
-use navicim_device::noise::NoiseStream;
+use navicim_backend::{check_batch_shape, LikelihoodBackend, PointBatch};
 use navicim_gmm::fit::{fit_diag_gmm, FitConfig};
 use navicim_gmm::hmg::{fit_hmgm, HmgmFitConfig};
 use navicim_gmm::prune::PruneConfig;
@@ -161,10 +161,10 @@ impl From<EngineStats> for BackendStats {
 /// batch evaluation must be bit-identical to scalar evaluation in order,
 /// so the filter can batch whole frames freely.
 ///
-/// Backends are `Send` so localization sessions can move across the
-/// worker threads of a serving layer; the optional serving surface
-/// ([`Self::fork_session`] and the coalesced-serving trio) lets many
-/// sessions share one fitted map with per-session evaluation state.
+/// Backends serve only through [`LikelihoodBackend::log_likelihood_into`].
+/// They are `Send` so localization sessions can run on the worker threads
+/// of a serving layer; [`Self::fork_session`] lets many sessions share one
+/// fitted map with per-session evaluation state.
 pub trait MapBackend: LikelihoodBackend + Send {
     /// Backend name for reports (usually the registry key it was built
     /// under).
@@ -186,92 +186,6 @@ pub trait MapBackend: LikelihoodBackend + Send {
     /// captured mutable state); such backends cannot serve a fleet.
     fn fork_session(&self) -> Option<Box<dyn MapBackend>> {
         None
-    }
-
-    /// This session's counter-based evaluation noise stream, when
-    /// evaluations consume one (analog backends). A serving layer uses it
-    /// to build the [`NoiseSegment`]s of a coalesced batch and to audit
-    /// that successive claims stay contiguous
-    /// (`navicim_device::noise::StreamAudit`).
-    fn noise_stream(&self) -> Option<NoiseStream> {
-        None
-    }
-
-    /// Whether [`Self::serve_segments`] / [`Self::absorb_served`] are
-    /// implemented, i.e. a serving layer may coalesce many sessions'
-    /// frame batches into single large evaluations through this backend.
-    fn supports_coalesced_serving(&self) -> bool {
-        false
-    }
-
-    /// Evaluates a coalesced multi-session batch. `segments` assigns each
-    /// slice of the batch to its owning session's noise stream (digital
-    /// backends ignore it — their evaluations are pure, so any split is
-    /// bit-identical by the [`LikelihoodBackend`] contract). Pre-noise
-    /// array currents land in `currents` (untouched for digital
-    /// backends). This instance acts only as the evaluator: its own
-    /// session state must not change — each owning session commits its
-    /// slice via [`Self::absorb_served`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `self.supports_coalesced_serving()` is false, and on
-    /// shape mismatches.
-    fn serve_segments(
-        &mut self,
-        batch: &PointBatch,
-        segments: &[NoiseSegment],
-        out: &mut [f64],
-        currents: &mut [f64],
-    ) {
-        let _ = (batch, segments, out, currents);
-        unimplemented!(
-            "backend {:?} does not support coalesced serving",
-            self.name()
-        );
-    }
-
-    /// Commits `count` externally served evaluations (this session's
-    /// slice of a coalesced batch, with its slice of the pre-noise
-    /// currents) into the session state — exactly the bookkeeping a
-    /// direct `log_likelihood_into` of the same points would have
-    /// performed, so served sessions stay bit-identical to solo runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `self.supports_coalesced_serving()` is false.
-    fn absorb_served(&mut self, count: usize, currents: &[f64]) {
-        let _ = (count, currents);
-        unimplemented!(
-            "backend {:?} does not support coalesced serving",
-            self.name()
-        );
-    }
-
-    /// [`Self::serve_segments`] that additionally reports per-segment
-    /// column activations into `seg_activations` (same length as
-    /// `segments`), so gated analog sessions can price only the columns
-    /// actually driven. The default delegates to plain serving and
-    /// reports zero — correct for backends without column accounting
-    /// (digital backends leave the column counters at zero throughout).
-    fn serve_segments_counted(
-        &mut self,
-        batch: &PointBatch,
-        segments: &[NoiseSegment],
-        out: &mut [f64],
-        currents: &mut [f64],
-        seg_activations: &mut [u64],
-    ) {
-        self.serve_segments(batch, segments, out, currents);
-        seg_activations.fill(0);
-    }
-
-    /// [`Self::absorb_served`] with the session's column-activation count
-    /// from [`Self::serve_segments_counted`]. The default ignores the
-    /// count — again correct for backends without column accounting.
-    fn absorb_served_gated(&mut self, count: usize, currents: &[f64], column_activations: u64) {
-        let _ = column_activations;
-        self.absorb_served(count, currents);
     }
 }
 
@@ -493,28 +407,6 @@ impl<B: LikelihoodBackend + Clone + Send + 'static> MapBackend for NamedBackend<
             inner: self.inner.clone(),
         }))
     }
-
-    fn supports_coalesced_serving(&self) -> bool {
-        true
-    }
-
-    fn serve_segments(
-        &mut self,
-        batch: &PointBatch,
-        _segments: &[NoiseSegment],
-        out: &mut [f64],
-        _currents: &mut [f64],
-    ) {
-        // Digital evaluation is pure, so a concatenated batch is
-        // bit-identical to the per-session sub-batches by the
-        // LikelihoodBackend contract. Going through `inner` directly
-        // keeps this evaluator's own counter untouched.
-        self.inner.log_likelihood_into(batch, out);
-    }
-
-    fn absorb_served(&mut self, count: usize, _currents: &[f64]) {
-        self.evaluations += count as u64;
-    }
 }
 
 /// The analog CIM engine as a [`MapBackend`], surfacing the engine's
@@ -574,65 +466,6 @@ impl MapBackend for CimMapBackend {
             name: self.name.clone(),
             engine: self.engine.fork_session(),
         }))
-    }
-
-    fn noise_stream(&self) -> Option<NoiseStream> {
-        Some(self.engine.noise_stream())
-    }
-
-    fn supports_coalesced_serving(&self) -> bool {
-        true
-    }
-
-    fn serve_segments(
-        &mut self,
-        batch: &PointBatch,
-        segments: &[NoiseSegment],
-        out: &mut [f64],
-        currents: &mut [f64],
-    ) {
-        // The auto policy inherits `par::MIN_CHUNK` — the one chunk-size
-        // source of truth — so a coalesced batch threads exactly when a
-        // solo batch of the same size would.
-        self.engine
-            .serve_segments(batch, segments, out, currents, par::ChunkPolicy::auto());
-    }
-
-    fn absorb_served(&mut self, count: usize, currents: &[f64]) {
-        assert_eq!(
-            count,
-            currents.len(),
-            "analog absorb requires one pre-noise current per evaluation"
-        );
-        self.engine.absorb_served_evals(currents);
-    }
-
-    fn serve_segments_counted(
-        &mut self,
-        batch: &PointBatch,
-        segments: &[NoiseSegment],
-        out: &mut [f64],
-        currents: &mut [f64],
-        seg_activations: &mut [u64],
-    ) {
-        self.engine.serve_segments_counted(
-            batch,
-            segments,
-            out,
-            currents,
-            par::ChunkPolicy::auto(),
-            seg_activations,
-        );
-    }
-
-    fn absorb_served_gated(&mut self, count: usize, currents: &[f64], column_activations: u64) {
-        assert_eq!(
-            count,
-            currents.len(),
-            "analog absorb requires one pre-noise current per evaluation"
-        );
-        self.engine
-            .absorb_served_evals_gated(currents, column_activations);
     }
 }
 

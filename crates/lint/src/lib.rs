@@ -2,7 +2,7 @@
 //! zero-alloc contracts.
 //!
 //! The reproduction's load-bearing invariants — bit-identical likelihood
-//! kernels under any chunk/thread/coalesce split, zero-alloc hot paths,
+//! kernels under any chunk/thread/batch split, zero-alloc hot paths,
 //! deterministic replay — are invisible to the compiler. This crate
 //! turns them into an exit-code check (`cargo run -p navicim-lint`) over
 //! `crates/*/src/**.rs` using a string/comment-aware masking lexer
@@ -94,7 +94,6 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/gmm/src/hmg.rs",
     "crates/analog/src/engine.rs",
     "crates/serve/src/fleet.rs",
-    "crates/serve/src/steal.rs",
     "crates/core/src/pipeline.rs",
     "crates/filter/src/particle.rs",
     "crates/filter/src/filter.rs",
@@ -119,11 +118,6 @@ const HOT_PATH_EXPECT_ALLOW: &[(&str, &str)] = &[
          messages name the violated round invariant",
     ),
     (
-        "crates/serve/src/steal.rs",
-        "Mutex-poison expects: a panicked worker has already torn down the round, \
-         propagating is the only sound continuation",
-    ),
-    (
         "crates/filter/src/particle.rs",
         "expects guard non-empty particle sets with finite weights, both validated \
          at construction",
@@ -145,9 +139,7 @@ const REDUCTION_FILES: &[&str] = &[
 const HOT_PATH_FNS: &[(&str, &str)] = &[
     ("crates/core/src/pipeline.rs", "step"),
     ("crates/serve/src/fleet.rs", "step_round"),
-    ("crates/serve/src/fleet.rs", "step_round_independent"),
-    ("crates/serve/src/fleet.rs", "step_round_coalesced"),
-    ("crates/serve/src/fleet.rs", "coalesce_and_serve"),
+    ("crates/serve/src/fleet.rs", "step_sessions"),
     ("crates/gmm/src/gaussian.rs", "log_likelihood_into_policy"),
     ("crates/gmm/src/gaussian.rs", "eval_range"),
     ("crates/gmm/src/gaussian.rs", "eval_range_pruned"),

@@ -32,7 +32,7 @@ use navicim::gmm::gaussian::{Covariance, Gmm};
 use navicim::gmm::hmg::{HmgKernel, HmgmModel};
 use navicim::math::alloc_audit;
 use navicim::scene::dataset::{LocalizationConfig, LocalizationDataset};
-use navicim::serve::{Fleet, FleetConfig, TaskOrder};
+use navicim::serve::{Fleet, FleetConfig};
 
 /// Serializes every exact-zero assertion: the counting allocator is
 /// process-global, so a concurrently running test would be charged to
@@ -187,25 +187,16 @@ fn pipeline_step_is_zero_alloc_after_warm_pass() {
     }
 }
 
-/// Same contract for the fleet's sequential (`workers: 1`) coalesced
-/// round: after one pass over the dataset, further rounds must not
-/// acquire heap memory.
+/// Same contract for the fleet loop at `workers: 1` (the caller works
+/// the loop alone, no spawn): after one pass over the dataset, further
+/// rounds must not acquire heap memory.
 #[test]
 fn fleet_step_round_is_zero_alloc_after_warm_pass() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let ds = audit_dataset();
     let prototype = LocalizationPipeline::build(&ds, audit_config()).expect("prototype builds");
-    let mut fleet = Fleet::new(
-        &prototype,
-        3,
-        900,
-        FleetConfig {
-            workers: 1,
-            coalesce: true,
-            order: TaskOrder::Forward,
-        },
-    )
-    .expect("fleet builds");
+    let mut fleet =
+        Fleet::new(&prototype, 3, 900, FleetConfig { workers: 1 }).expect("fleet builds");
     let controls = ds.control_deltas();
     for (t, control) in controls.iter().enumerate() {
         fleet

@@ -3,7 +3,8 @@
 //! guarantees that span crate boundaries.
 
 use navicim::analog::engine::CimEngineConfig;
-use navicim::core::localization::{CimLocalizer, LocalizerConfig, WeightPath};
+use navicim::backend::PointBatch;
+use navicim::core::localization::{CimLocalizer, LocalizerConfig};
 use navicim::core::pipeline::{
     GateConfig, GateKind, HysteresisConfig, LocalizationPipeline, ANALOG_SLOT, DIGITAL_SLOT,
 };
@@ -92,44 +93,70 @@ fn localization_pipeline_both_backends_converge() {
 }
 
 #[test]
-fn batched_weight_step_runs_both_backends_end_to_end() {
-    // The refactored per-frame batch weight step (the default) must drive
-    // the full localization pipeline on both backends and agree
-    // bit-for-bit with the legacy scalar path.
+fn per_particle_oracle_matches_step_end_to_end() {
+    // `step` weighs a whole frame in one backend call. An oracle that
+    // weighs each particle's slice of the staged batch through its own
+    // `log_likelihood_into` call must reproduce `step`'s reports bit for
+    // bit on both backends, through the public split-frame API.
+    const PARTICLES: usize = 300;
     let dataset = loc_dataset(108);
-    let config = |backend: &str, path| LocalizerConfig {
-        num_particles: 300,
+    let config = |backend: &str| LocalizerConfig {
+        num_particles: PARTICLES,
         components: 12,
         pixel_stride: 9,
         backend: backend.into(),
-        weight_path: path,
         seed: 5,
         ..LocalizerConfig::default()
     };
-    assert_eq!(LocalizerConfig::default().weight_path, WeightPath::Batched);
+    let controls = dataset.control_deltas();
     for backend in [DIGITAL_GMM, CIM_HMGM] {
-        let batched = CimLocalizer::build(&dataset, config(backend, WeightPath::Batched))
-            .expect("batched builds")
-            .run(&dataset)
-            .expect("batched runs");
-        let scalar = CimLocalizer::build(&dataset, config(backend, WeightPath::Scalar))
-            .expect("scalar builds")
-            .run(&dataset)
-            .expect("scalar runs");
-        assert_eq!(batched.errors, scalar.errors, "{backend}");
-        assert_eq!(batched.estimates, scalar.estimates, "{backend}");
+        let mut stepped = LocalizationPipeline::build(&dataset, config(backend)).expect("builds");
+        let mut oracle = LocalizationPipeline::build(&dataset, config(backend)).expect("builds");
+        let mut reports = Vec::new();
+        for (t, control) in controls.iter().enumerate() {
+            let frame = &dataset.frames[t + 1];
+            let want = stepped
+                .step(control, &frame.depth, frame.pose)
+                .expect("step");
+            let pending = oracle.begin_frame(control, &frame.depth).expect("begin");
+            // Projection validity depends on the depth image only, so
+            // every particle stages the same number of points.
+            let staged = oracle.staged_batch();
+            let per_particle = staged.len() / PARTICLES;
+            assert!(per_particle > 0, "{backend} frame {t}: empty scans");
+            assert_eq!(per_particle * PARTICLES, staged.len());
+            let clouds: Vec<PointBatch> = staged
+                .as_flat()
+                .chunks(3 * per_particle)
+                .map(|flat| {
+                    let mut cloud = PointBatch::new(3);
+                    for p in flat.chunks(3) {
+                        cloud.push(p);
+                    }
+                    cloud
+                })
+                .collect();
+            let mut lls = vec![0.0; staged.len()];
+            let map = oracle.backend_mut(pending.slot());
+            for (cloud, out) in clouds.iter().zip(lls.chunks_mut(per_particle)) {
+                map.log_likelihood_into(cloud, out);
+            }
+            let got = oracle
+                .finish_frame(pending, &lls, frame.pose)
+                .expect("finish");
+            assert_eq!(got, want, "{backend} frame {t}");
+            reports.push(got);
+        }
         assert_eq!(
-            batched.point_evaluations, scalar.point_evaluations,
+            oracle.backend(0).stats(),
+            stepped.backend(0).stats(),
             "{backend}"
         );
-        assert!(batched.point_evaluations > 0, "{backend}");
-        // And the pipeline still converges through the batch path.
-        assert_eq!(batched.stats, scalar.stats, "{backend}");
-        assert!(
-            batched.steady_state_error() < 0.4,
-            "{backend}: {:?}",
-            batched.errors
-        );
+        assert!(oracle.backend(0).stats().evaluations > 0, "{backend}");
+        // And the pipeline still converges through the one frame path.
+        let tail = &reports[reports.len() - (reports.len() / 4).max(1)..];
+        let steady = tail.iter().map(|r| r.summary.error).sum::<f64>() / tail.len() as f64;
+        assert!(steady < 0.4, "{backend}: steady-state error {steady}");
     }
 }
 

@@ -1,11 +1,10 @@
 //! Fleet-serving determinism: every session served by a [`Fleet`] must
 //! be bit-identical to running that session's pipeline alone, for any
-//! worker count, any task-feeding order, and coalescing on or off.
+//! worker count.
 //!
-//! This is the serving layer's whole contract — cross-agent likelihood
-//! batching is only admissible because the counter-based noise streams
-//! and the batch↔scalar evaluation guarantees make the coalesced
-//! evaluation a pure re-partitioning of each session's solo work.
+//! This is the serving layer's whole contract — sessions share only
+//! read-only fitted maps, so which worker steps a session, and when, must
+//! be unobservable in its results.
 
 use navicim::core::localization::LocalizerConfig;
 use navicim::core::pipeline::{
@@ -16,7 +15,7 @@ use navicim::core::registry::{CIM_HMGM, DIGITAL_GMM};
 use navicim::math::geom::Pose;
 use navicim::scene::camera::DepthImage;
 use navicim::scene::dataset::{LocalizationConfig, LocalizationDataset};
-use navicim::serve::{Fleet, FleetConfig, TaskOrder};
+use navicim::serve::{Fleet, FleetConfig};
 
 fn dataset() -> LocalizationDataset {
     LocalizationDataset::generate(
@@ -37,8 +36,8 @@ fn config() -> LocalizerConfig {
         num_particles: 120,
         pixel_stride: 7,
         components: 8,
-        // A gated digital+analog pair so coalesced rounds route one
-        // mega-batch per slot and sessions migrate between slots.
+        // A gated digital+analog pair so sessions serve both slots and
+        // migrate between them mid-run.
         gate: GateConfig::gated(DIGITAL_GMM, CIM_HMGM).with_hysteresis(HysteresisConfig {
             analog_enter: 0.12,
             digital_enter: 0.2,
@@ -52,6 +51,10 @@ fn config() -> LocalizerConfig {
 
 const AGENTS: usize = 3;
 const SEED_BASE: u64 = 1000;
+
+/// Worker counts every sweep covers: 0 (clamped to 1), one, several,
+/// one per agent, and more workers than agents (capped).
+const WORKER_SWEEP: [usize; 6] = [0, 1, 2, 3, 4, AGENTS + 1];
 
 /// Per-session solo runs: the parity baseline every fleet mode must hit.
 fn solo_reports(
@@ -74,57 +77,47 @@ fn fleet_is_bit_identical_to_solo_runs_across_schedules() {
     let prototype = LocalizationPipeline::build(&ds, config()).expect("prototype builds");
     let solo = solo_reports(&prototype, &ds);
 
-    // Workers × coalescing × feeding order: every schedule must produce
-    // byte-for-byte the solo frame reports.
-    let schedules = [
-        (1, false, TaskOrder::Forward),
-        (1, true, TaskOrder::Forward),
-        (2, true, TaskOrder::Reverse),
-        (2, false, TaskOrder::Shuffled(42)),
-        (4, true, TaskOrder::Shuffled(42)),
-        (4, false, TaskOrder::Reverse),
-    ];
-    for (workers, coalesce, order) in schedules {
-        let mut fleet = Fleet::new(
-            &prototype,
-            AGENTS,
-            SEED_BASE,
-            FleetConfig {
-                workers,
-                coalesce,
-                order,
-            },
-        )
-        .expect("fleet builds");
+    // Every worker count must produce byte-for-byte the solo frame
+    // reports.
+    for workers in WORKER_SWEEP {
+        let mut fleet = Fleet::new(&prototype, AGENTS, SEED_BASE, FleetConfig { workers })
+            .expect("fleet builds");
         let reports = fleet.run(&ds).expect("fleet run succeeds");
         assert_eq!(
             reports, solo,
-            "fleet diverged from solo runs (workers={workers}, \
-             coalesce={coalesce}, order={order:?})"
+            "fleet diverged from solo runs (workers={workers})"
         );
     }
 }
 
 #[test]
-fn coalesced_sessions_commit_solo_backend_stats() {
-    // Evaluations routed through the fleet evaluator must land in each
-    // *session's* stats exactly as a solo run would book them.
+fn fleet_sessions_commit_solo_backend_stats() {
+    // Evaluations served inside the fleet must land in each session's
+    // backend stats exactly as a solo run would book them, whichever
+    // worker stepped the session.
     let ds = dataset();
     let prototype = LocalizationPipeline::build(&ds, config()).expect("prototype builds");
-    let mut fleet =
-        Fleet::new(&prototype, AGENTS, SEED_BASE, FleetConfig::default()).expect("fleet builds");
-    fleet.run(&ds).expect("fleet run succeeds");
-    for i in 0..AGENTS {
-        let mut solo = prototype
-            .fork_session(SEED_BASE + i as u64)
-            .expect("fork succeeds");
-        solo.run(&ds).expect("solo run succeeds");
-        for slot in 0..solo.num_backends() {
-            assert_eq!(
-                fleet.session(i).backend(slot).stats(),
-                solo.backend(slot).stats(),
-                "session {i} slot {slot} stats diverged"
-            );
+    let solos: Vec<LocalizationPipeline> = (0..AGENTS)
+        .map(|i| {
+            let mut solo = prototype
+                .fork_session(SEED_BASE + i as u64)
+                .expect("fork succeeds");
+            solo.run(&ds).expect("solo run succeeds");
+            solo
+        })
+        .collect();
+    for workers in WORKER_SWEEP {
+        let mut fleet = Fleet::new(&prototype, AGENTS, SEED_BASE, FleetConfig { workers })
+            .expect("fleet builds");
+        fleet.run(&ds).expect("fleet run succeeds");
+        for (i, solo) in solos.iter().enumerate() {
+            for slot in 0..solo.num_backends() {
+                assert_eq!(
+                    fleet.session(i).backend(slot).stats(),
+                    solo.backend(slot).stats(),
+                    "session {i} slot {slot} stats diverged (workers={workers})"
+                );
+            }
         }
     }
 }
@@ -203,7 +196,7 @@ fn solo_sweep(
 }
 
 #[test]
-fn per_agent_faults_stay_isolated_in_coalesced_rounds() {
+fn per_agent_faults_stay_isolated_across_worker_counts() {
     let ds = dataset();
     let prototype = LocalizationPipeline::build(&ds, config())
         .expect("prototype builds")
@@ -240,33 +233,19 @@ fn per_agent_faults_stay_isolated_in_coalesced_rounds() {
 
     // Isolation: every agent — including the faulted one — is
     // bit-identical to its solo replay of the same per-agent inputs; a
-    // neighbor's fault leaks nothing through the coalesced mega-batch.
+    // neighbor's fault leaks nothing into its fleet-mates.
     for i in 0..AGENTS {
         let solo = solo_sweep(&prototype, &ds, i, i == FAULTED);
         assert_eq!(fleet_reports[i], solo, "agent {i} diverged from solo");
     }
 
     // And the per-agent path keeps the full determinism contract: the
-    // same faulted sweep is bit-identical across coalescing, worker
-    // count, and feeding order.
-    for (workers, coalesce, order) in [
-        (1, false, TaskOrder::Forward),
-        (2, true, TaskOrder::Reverse),
-        (4, false, TaskOrder::Shuffled(42)),
-    ] {
-        let again = run_faulted_sweep(
-            &prototype,
-            &ds,
-            FleetConfig {
-                workers,
-                coalesce,
-                order,
-            },
-            &[FAULTED],
-        );
+    // same faulted sweep is bit-identical for every worker count.
+    for workers in WORKER_SWEEP {
+        let again = run_faulted_sweep(&prototype, &ds, FleetConfig { workers }, &[FAULTED]);
         assert_eq!(
             again, fleet_reports,
-            "faulted sweep diverged (workers={workers}, coalesce={coalesce}, order={order:?})"
+            "faulted sweep diverged (workers={workers})"
         );
     }
 }
