@@ -25,7 +25,7 @@ use crate::array::{calibrate_overlap, device_sigma_range, CimArray, CimColumn};
 use crate::dac::Dac;
 use crate::mapping::SpaceMap;
 use crate::{AnalogError, Result};
-use navicim_backend::{check_batch_shape, par, LikelihoodBackend, PointBatch};
+use navicim_backend::{check_batch_shape, LikelihoodBackend, PointBatch};
 use navicim_device::inverter::{GaussianLikeCell, MultiInputInverter};
 use navicim_device::noise::{NoiseModel, NoiseStream};
 use navicim_device::params::TechParams;
@@ -34,7 +34,6 @@ use navicim_gmm::hmg::HmgmModel;
 use navicim_gmm::prune::{PruneConfig, PruneIndex, PruneScratch, PRUNE_TILE};
 use navicim_math::rng::Pcg32;
 use navicim_math::simd::{F64x4, LANES};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Device slack (nats) in the CIM column-gating margin, which totals
 /// `ln K +` this value (see
@@ -286,8 +285,7 @@ impl CodeLut {
     }
 }
 
-/// Reusable DAC scratch buffers for [`CimCompute`] evaluation
-/// (sequential single-chunk path only; threaded chunks carry their own).
+/// Reusable DAC and gating scratch buffers for [`CimCompute`] evaluation.
 #[derive(Debug, Clone, Default)]
 struct EvalScratch {
     voltages: Vec<f64>,
@@ -319,7 +317,7 @@ struct CimPrune {
 /// [`HmgmCimEngine::build`]), so a `CimCompute` is freely shared across
 /// threads behind an `Arc` — sessions own only their noise cursor and
 /// counters. Evaluation is pure: the calling session passes its noise
-/// stream and receives pre-noise currents for its own bookkeeping.
+/// stream and its running pre-noise current sum.
 #[derive(Debug, Clone)]
 pub struct CimCompute {
     array: CimArray,
@@ -365,76 +363,63 @@ impl CimCompute {
     }
 
     /// Evaluates `batch` against the fabric: point `k` draws its noise
-    /// from `stream.at(stream.cursor() + k)`, pre-noise currents land in
-    /// `currents` (for the session's index-order stats fold) and the
-    /// return value is the number of column activations driven. Nothing
-    /// in `self` mutates; `scratch` is buffer reuse only.
+    /// from `stream.at(stream.cursor() + k)`, each pre-noise array
+    /// current is added onto `current_sum` in index order and the return
+    /// value is the number of column activations driven. Nothing in
+    /// `self` mutates; `scratch` is buffer reuse only.
     ///
     /// Column gating, when compiled in ([`HmgmCimEngine::build_with_pruning`])
     /// and on the LUT path, works in fixed tiles of [`PRUNE_TILE`]
     /// consecutive points anchored at batch index 0: the tile's
     /// clamped+padded AABB is intersected with the culling index and only
-    /// surviving columns are driven. Anchoring at absolute batch indices
-    /// makes the gating decisions — and therefore the output bits —
-    /// invariant under the chunk policy. A tile containing any non-finite
+    /// surviving columns are driven. A tile containing any non-finite
     /// coordinate falls back to the full column set, bit-identical to the
     /// ungated path.
     ///
     /// # Panics
     ///
-    /// Panics on dimension mismatch or output/current length mismatch.
+    /// Panics on dimension mismatch or if `out.len() != batch.len()`.
     fn eval(
         &self,
         batch: &PointBatch,
         stream: NoiseStream,
         out: &mut [f64],
-        currents: &mut [f64],
-        policy: par::ChunkPolicy,
+        current_sum: &mut f64,
         scratch: &mut EvalScratch,
     ) -> u64 {
         check_batch_shape(self.map.dim(), batch, out);
-        assert_eq!(
-            out.len(),
-            currents.len(),
-            "currents scratch must match batch length"
-        );
         let n = batch.len();
         if n == 0 {
             return 0;
         }
         let dim = self.dacs.len();
-        scratch.voltages.resize(dim, 0.0);
-        scratch.codes.resize(LANES * dim, 0);
+        let EvalScratch {
+            voltages,
+            codes,
+            prune,
+        } = scratch;
+        voltages.resize(dim, 0.0);
+        codes.resize(LANES * dim, 0);
         let array = &self.array;
         let dacs = &self.dacs;
         let adc = &self.adc;
         let axes = self.map.axes();
         let noise = &self.noise;
-        let lut = self.lut.as_ref();
         let i_floor = self.tech.i_leak * 0.01;
         let gm_denom = self.tech.slope_n * self.tech.u_t;
         let base = stream.cursor();
         // Noise + ADC stage, shared by every evaluation path; pure in
-        // (index, pre-noise current).
-        let finish = |idx: usize, i_total: f64| -> (f64, f64) {
+        // (index, pre-noise current) apart from the index-order current
+        // fold.
+        let mut finish = |idx: usize, i_total: f64| -> f64 {
             // Subthreshold-style transconductance estimate for the
             // noise scale; the counter-based z keeps the draw tied
             // to the absolute evaluation index of the session.
             let gm = i_total / gm_denom;
             let z = stream.at(base + idx as u64);
             let i_noisy = (i_total + noise.sample_with_z(gm, i_total, z)).max(i_floor);
-            (adc.convert(i_noisy), i_total)
-        };
-        // Direct device-model evaluation of one point.
-        let eval_direct = |idx: usize, voltages: &mut [f64]| {
-            for ((v, &x), (axis, dac)) in voltages
-                .iter_mut()
-                .zip(batch.point(idx))
-                .zip(axes.iter().zip(dacs))
-            {
-                *v = dac.convert(axis.to_voltage(x));
-            }
-            finish(idx, array.total_current(voltages))
+            *current_sum += i_total;
+            adc.convert(i_noisy)
         };
         // DAC codes of point `idx` into `codes[p*dim..]`.
         let codes_for = |idx: usize, p: usize, codes: &mut [usize]| {
@@ -447,150 +432,67 @@ impl CimCompute {
             }
         };
         let k_cols = self.array.num_columns() as u64;
-        if let (Some(gate), Some(lut)) = (self.prune.as_ref(), lut) {
-            // Column-gated LUT path. Pieces are chunk ∩ tile, each
-            // evaluated over the full tile's survivor set so chunk
-            // geometry never leaks into the gating decision. Activations
-            // are tallied through an atomic because tiles may land in
-            // concurrently-running chunks; the sum is an exact u64 count,
-            // so the tally is deterministic regardless of interleaving.
-            let acts = AtomicU64::new(0);
-            let run_range_gated = |start: usize,
-                                   out_chunk: &mut [f64],
-                                   cur_chunk: &mut [f64],
-                                   codes: &mut [usize],
-                                   pscratch: &mut PruneScratch| {
-                let end = start + out_chunk.len();
-                let mut pos = start;
-                while pos < end {
-                    let tile_lo = (pos / PRUNE_TILE) * PRUNE_TILE;
-                    let tile_hi = (tile_lo + PRUNE_TILE).min(n);
-                    let piece_end = end.min(tile_hi);
-                    let cands = gate.index.candidates_for_points_clamped(
-                        batch.flat_range(tile_lo, tile_hi),
-                        &gate.pad,
-                        &gate.ranges,
-                        pscratch,
-                    );
-                    let piece = (piece_end - pos) as u64;
-                    let mut i = pos;
-                    match cands {
-                        Some(cols) => {
-                            acts.fetch_add(piece * cols.len() as u64, Ordering::Relaxed);
-                            while i + LANES <= piece_end {
-                                for p in 0..LANES {
-                                    codes_for(i + p, p, codes);
-                                }
-                                let totals = lut.total_current4_cols(codes, cols);
-                                for (p, &i_total) in totals.iter().enumerate() {
-                                    let (o, cur) = finish(i + p, i_total);
-                                    out_chunk[i + p - start] = o;
-                                    cur_chunk[i + p - start] = cur;
-                                }
-                                i += LANES;
-                            }
-                            for idx in i..piece_end {
-                                codes_for(idx, 0, codes);
-                                let (o, cur) =
-                                    finish(idx, lut.total_current_cols(&codes[..dim], cols));
-                                out_chunk[idx - start] = o;
-                                cur_chunk[idx - start] = cur;
-                            }
-                        }
-                        None => {
-                            // Non-finite tile: full-array evaluation,
-                            // bit-identical to the ungated path.
-                            acts.fetch_add(piece * k_cols, Ordering::Relaxed);
-                            while i + LANES <= piece_end {
-                                for p in 0..LANES {
-                                    codes_for(i + p, p, codes);
-                                }
-                                let totals = lut.total_current4(codes);
-                                for (p, &i_total) in totals.iter().enumerate() {
-                                    let (o, cur) = finish(i + p, i_total);
-                                    out_chunk[i + p - start] = o;
-                                    cur_chunk[i + p - start] = cur;
-                                }
-                                i += LANES;
-                            }
-                            for idx in i..piece_end {
-                                codes_for(idx, 0, codes);
-                                let (o, cur) = finish(idx, lut.total_current(&codes[..dim]));
-                                out_chunk[idx - start] = o;
-                                cur_chunk[idx - start] = cur;
-                            }
-                        }
-                    }
-                    pos = piece_end;
+        let Some(lut) = self.lut.as_ref() else {
+            // Direct device-model evaluation, one point at a time.
+            for (idx, o) in out.iter_mut().enumerate() {
+                for ((v, &x), (axis, dac)) in voltages
+                    .iter_mut()
+                    .zip(batch.point(idx))
+                    .zip(axes.iter().zip(dacs))
+                {
+                    *v = dac.convert(axis.to_voltage(x));
                 }
-            };
-            if policy.is_single_chunk(n) {
-                run_range_gated(0, out, currents, &mut scratch.codes, &mut scratch.prune);
-            } else {
-                par::zip_chunks_policy(policy, out, currents, |start, out_chunk, cur_chunk| {
-                    let mut codes = vec![0usize; LANES * dim];
-                    let mut pscratch = PruneScratch::default();
-                    run_range_gated(start, out_chunk, cur_chunk, &mut codes, &mut pscratch);
-                });
+                *o = finish(idx, array.total_current(voltages));
             }
-            return acts.into_inner();
-        }
-        // One chunk of evaluations. The 4-wide LUT body is the
-        // vectorization seam: grouping is per-chunk-internal and the
-        // lane math is per-point identical to the scalar/direct path,
-        // so chunk boundaries, thread counts and the LUT toggle are
-        // all unobservable in the output bits. Noise stays tied to
-        // absolute evaluation indices either way.
-        let run_range = |start: usize,
-                         out_chunk: &mut [f64],
-                         cur_chunk: &mut [f64],
-                         voltages: &mut [f64],
-                         codes: &mut [usize]| {
-            match lut {
-                Some(lut) => {
-                    let mut k = 0;
-                    while k + LANES <= out_chunk.len() {
-                        for p in 0..LANES {
-                            codes_for(start + k + p, p, codes);
-                        }
-                        let totals = lut.total_current4(codes);
-                        for (p, &i_total) in totals.iter().enumerate() {
-                            let (o, cur) = finish(start + k + p, i_total);
-                            out_chunk[k + p] = o;
-                            cur_chunk[k + p] = cur;
-                        }
-                        k += LANES;
-                    }
-                    // Scalar remainder tail through the same table.
-                    for i in k..out_chunk.len() {
-                        codes_for(start + i, 0, codes);
-                        let (o, cur) = finish(start + i, lut.total_current(&codes[..dim]));
-                        out_chunk[i] = o;
-                        cur_chunk[i] = cur;
-                    }
-                }
-                None => {
-                    for (i, (o, cur)) in out_chunk.iter_mut().zip(cur_chunk.iter_mut()).enumerate()
-                    {
-                        (*o, *cur) = eval_direct(start + i, voltages);
-                    }
-                }
-            }
+            return n as u64 * k_cols;
         };
-        if policy.is_single_chunk(n) {
-            // Sequential path: reuse the caller's scratch — zero
-            // allocation per batch.
-            run_range(0, out, currents, &mut scratch.voltages, &mut scratch.codes);
-        } else {
-            par::zip_chunks_policy(policy, out, currents, |start, out_chunk, cur_chunk| {
-                // Per-chunk scratch (chunks may run concurrently).
-                let mut voltages = vec![0.0; dim];
-                let mut codes = vec![0usize; LANES * dim];
-                run_range(start, out_chunk, cur_chunk, &mut voltages, &mut codes);
-            });
+        // LUT path, in tiles: with column gating, each tile is
+        // PRUNE_TILE points driving its survivor columns (every column
+        // when it holds a non-finite coordinate, bit-identical to the
+        // ungated path); without, the batch is one tile over every
+        // column. The 4-wide body is the vectorization seam: the lane
+        // math is per-point identical to the scalar tail and the direct
+        // path, so the grouping and the LUT toggle are unobservable in
+        // the output bits.
+        let tile = if self.prune.is_some() { PRUNE_TILE } else { n };
+        let mut acts = 0;
+        for tile_lo in (0..n).step_by(tile) {
+            let tile_hi = (tile_lo + tile).min(n);
+            let cols = match self.prune.as_ref() {
+                Some(gate) => gate.index.candidates_for_points_clamped(
+                    batch.flat_range(tile_lo, tile_hi),
+                    &gate.pad,
+                    &gate.ranges,
+                    prune,
+                ),
+                None => None,
+            };
+            acts += (tile_hi - tile_lo) as u64 * cols.map_or(k_cols, |c| c.len() as u64);
+            let mut i = tile_lo;
+            while i + LANES <= tile_hi {
+                for p in 0..LANES {
+                    codes_for(i + p, p, codes);
+                }
+                let totals = match cols {
+                    Some(cols) => lut.total_current4_cols(codes, cols),
+                    None => lut.total_current4(codes),
+                };
+                for (p, &i_total) in totals.iter().enumerate() {
+                    out[i + p] = finish(i + p, i_total);
+                }
+                i += LANES;
+            }
+            // Scalar remainder tail through the same table.
+            for idx in i..tile_hi {
+                codes_for(idx, 0, codes);
+                let i_total = match cols {
+                    Some(cols) => lut.total_current_cols(&codes[..dim], cols),
+                    None => lut.total_current(&codes[..dim]),
+                };
+                out[idx] = finish(idx, i_total);
+            }
         }
-        // Ungated (or direct-path): every evaluation drives every column.
-        n as u64 * k_cols
+        acts
     }
 }
 
@@ -605,13 +507,10 @@ pub struct HmgmCimEngine {
     compute: Arc<CimCompute>,
     /// Counter-based evaluation noise: evaluation `i` (over the session's
     /// lifetime) is perturbed by `noise_stream.at(i)` regardless of how
-    /// queries are batched, chunked or threaded.
+    /// queries are batched.
     noise_stream: NoiseStream,
     stats: EngineStats,
-    /// Reused per-evaluation array-current scratch (stats are merged from
-    /// it in index order after each batch).
-    currents: Vec<f64>,
-    /// Reused DAC scratch for the sequential single-chunk path.
+    /// Reused DAC and gating scratch.
     scratch: EvalScratch,
 }
 
@@ -703,7 +602,6 @@ impl HmgmCimEngine {
             }),
             noise_stream: NoiseStream::new(noise_seed),
             stats: EngineStats::default(),
-            currents: Vec::new(),
             scratch: EvalScratch::default(),
         })
     }
@@ -785,7 +683,6 @@ impl HmgmCimEngine {
             compute: Arc::clone(&self.compute),
             noise_stream: NoiseStream::new(self.compute.noise_seed),
             stats: EngineStats::default(),
-            currents: Vec::new(),
             scratch: EvalScratch::default(),
         }
     }
@@ -855,60 +752,32 @@ impl HmgmCimEngine {
 
     /// Serves a whole batch of log-likelihood queries.
     ///
-    /// Delegates to [`Self::log_likelihood_into_chunked`] with the auto
-    /// [`par::ChunkPolicy`], which spreads the batch across worker
-    /// threads when the `parallel` feature is enabled and the batch is
-    /// large enough to amortize them.
+    /// The result — outputs *and* [`EngineStats`] — is bit-identical to
+    /// one-by-one scalar queries and to any split of the batch into
+    /// consecutive calls:
+    ///
+    /// - evaluation `i` of the batch claims absolute index `base + i` of
+    ///   the engine's counter-based [`NoiseStream`], so its noise value
+    ///   matches the value the sequential draw at the same evaluation
+    ///   count would deliver from this stream;
+    /// - each pre-noise array current is added onto
+    ///   `EngineStats::current_sum` in index order, the same
+    ///   left-to-right association scalar calls produce.
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch or if `out.len() != batch.len()`.
     pub fn log_likelihood_into(&mut self, batch: &PointBatch, out: &mut [f64]) {
-        self.log_likelihood_into_chunked(batch, out, par::ChunkPolicy::auto());
-    }
-
-    /// Serves a batch under an explicit chunking policy.
-    ///
-    /// The result — outputs *and* [`EngineStats`] — is bit-identical for
-    /// every `(chunk_len, workers)` pair, to each other and to one-by-one
-    /// scalar queries:
-    ///
-    /// - evaluation `i` of the batch claims absolute index `base + i` of
-    ///   the engine's counter-based [`NoiseStream`], so its noise value
-    ///   does not depend on which chunk or thread serves it (and matches
-    ///   the value the pre-batch sequential draw at the same evaluation
-    ///   count would deliver from this stream);
-    /// - each evaluation writes its pre-noise array current into a
-    ///   per-evaluation scratch slot, and the stats are folded from that
-    ///   scratch *in index order* after all chunks complete, so even the
-    ///   floating-point `current_sum` association is chunking-invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or if `out.len() != batch.len()`.
-    pub fn log_likelihood_into_chunked(
-        &mut self,
-        batch: &PointBatch,
-        out: &mut [f64],
-        policy: par::ChunkPolicy,
-    ) {
         let n = batch.len();
-        self.currents.resize(n, 0.0);
         let column_activations = self.compute.eval(
             batch,
             self.noise_stream,
             out,
-            &mut self.currents,
-            policy,
+            &mut self.stats.current_sum,
             &mut self.scratch,
         );
         // lint: allow(noise-stream-seq) post-batch cursor commit: the batch already drew .at(cursor + k); advance only publishes the watermark
         self.noise_stream.advance(n as u64);
-        // Index-order merge: the same left-to-right association scalar
-        // calls would produce, independent of how chunks were assigned.
-        for &i_total in &self.currents {
-            self.stats.current_sum += i_total;
-        }
         self.stats.evaluations += n as u64;
         self.stats.dac_conversions += (n * self.compute.dacs.len()) as u64;
         self.stats.adc_conversions += n as u64;
@@ -1099,11 +968,29 @@ mod tests {
         assert_eq!(batch_engine.stats().dac_conversions, 64 * 3);
     }
 
+    /// Serves `batch` through consecutive calls of at most `chunk_len`
+    /// points each, concatenating the outputs.
+    fn serve_in_chunks(
+        engine: &mut HmgmCimEngine,
+        batch: &PointBatch,
+        chunk_len: usize,
+    ) -> Vec<f64> {
+        let mut out = vec![0.0; batch.len()];
+        for (c, out_chunk) in out.chunks_mut(chunk_len).enumerate() {
+            let mut part = PointBatch::new(batch.dim());
+            for i in c * chunk_len..c * chunk_len + out_chunk.len() {
+                part.push(batch.point(i));
+            }
+            engine.log_likelihood_into(&part, out_chunk);
+        }
+        out
+    }
+
     #[test]
     fn chunked_evaluation_is_bit_identical() {
-        // Any (chunk_len, workers) policy — and any split of the batch
-        // into consecutive sub-batches — produces the same outputs and
-        // the same EngineStats as the auto policy.
+        // Splitting the batch into consecutive sub-batch calls of any
+        // length consumes consecutive stream ranges, so the outputs and
+        // EngineStats match one big call.
         let map = test_map();
         let model = test_model(&map);
         let config = CimEngineConfig::default();
@@ -1119,35 +1006,12 @@ mod tests {
         let mut reference = HmgmCimEngine::build(&model, map.clone(), config).unwrap();
         let mut expected = vec![0.0; batch.len()];
         reference.log_likelihood_into(&batch, &mut expected);
-        for chunk_len in [1usize, 7, 64, batch.len()] {
-            for workers in [1usize, 2, 4] {
-                let mut engine = HmgmCimEngine::build(&model, map.clone(), config).unwrap();
-                let mut out = vec![0.0; batch.len()];
-                engine.log_likelihood_into_chunked(
-                    &batch,
-                    &mut out,
-                    par::ChunkPolicy::exact(chunk_len, workers),
-                );
-                assert_eq!(out, expected, "chunk {chunk_len}, workers {workers}");
-                assert_eq!(engine.stats(), reference.stats());
-            }
+        for chunk_len in [1usize, 7, 40, 64] {
+            let mut engine = HmgmCimEngine::build(&model, map.clone(), config).unwrap();
+            let out = serve_in_chunks(&mut engine, &batch, chunk_len);
+            assert_eq!(out, expected, "chunk {chunk_len}");
+            assert_eq!(engine.stats(), reference.stats());
         }
-        // Splitting into two consecutive batch calls consumes consecutive
-        // stream ranges, so the concatenation matches one big call.
-        let mut split_engine = HmgmCimEngine::build(&model, map, config).unwrap();
-        let mut first = PointBatch::new(3);
-        let mut second = PointBatch::new(3);
-        for (i, p) in batch.iter().enumerate() {
-            if i < 40 {
-                first.push(p);
-            } else {
-                second.push(p);
-            }
-        }
-        let mut out = split_engine.log_likelihood_batch(&first);
-        out.extend(split_engine.log_likelihood_batch(&second));
-        assert_eq!(out, expected);
-        assert_eq!(split_engine.stats(), reference.stats());
     }
 
     #[test]
@@ -1302,12 +1166,16 @@ mod tests {
 
     #[test]
     fn gated_outputs_are_chunking_invariant() {
+        // Gating tiles anchor at each call's index 0, so splitting a
+        // gated batch into consecutive calls on PRUNE_TILE boundaries
+        // reproduces one call bit for bit, outputs and stats — with
+        // tiles of mixed survivor sets and a ragged last tile.
         let map = test_map();
         let model = spread_model(&map, 24);
         let config = CimEngineConfig::default();
         let prune = PruneConfig::enabled();
         let center = model.kernels()[0].means().to_vec();
-        let mut batch = clustered_batch(&center, 300, 0.01, 53);
+        let mut batch = clustered_batch(&center, 600, 0.01, 53);
         // A few far outliers so tiles mix survivor sets.
         let mut rng = Pcg32::seed_from_u64(54);
         for _ in 0..17 {
@@ -1321,19 +1189,12 @@ mod tests {
             HmgmCimEngine::build_with_pruning(&model, map.clone(), config, prune).unwrap();
         let mut expected = vec![0.0; batch.len()];
         reference.log_likelihood_into(&batch, &mut expected);
-        for chunk_len in [1usize, 7, 64, batch.len()] {
-            for workers in [1usize, 2, 4] {
-                let mut engine =
-                    HmgmCimEngine::build_with_pruning(&model, map.clone(), config, prune).unwrap();
-                let mut out = vec![0.0; batch.len()];
-                engine.log_likelihood_into_chunked(
-                    &batch,
-                    &mut out,
-                    par::ChunkPolicy::exact(chunk_len, workers),
-                );
-                assert_eq!(out, expected, "chunk {chunk_len}, workers {workers}");
-                assert_eq!(engine.stats(), reference.stats());
-            }
+        for chunk_len in [PRUNE_TILE, 2 * PRUNE_TILE] {
+            let mut engine =
+                HmgmCimEngine::build_with_pruning(&model, map.clone(), config, prune).unwrap();
+            let out = serve_in_chunks(&mut engine, &batch, chunk_len);
+            assert_eq!(out, expected, "chunk {chunk_len}");
+            assert_eq!(engine.stats(), reference.stats());
         }
     }
 

@@ -14,22 +14,16 @@
 //! - [`LikelihoodBackend`] — the batch-first trait (`log_likelihood_into`)
 //!   with a scalar adapter, implemented by `navicim_gmm::gaussian::Gmm`,
 //!   `navicim_gmm::hmg::HmgmModel` and
-//!   `navicim_analog::engine::HmgmCimEngine`,
-//! - [`par`] — chunked execution helpers that spread a batch across
-//!   threads behind the `parallel` feature.
+//!   `navicim_analog::engine::HmgmCimEngine`.
 //!
-//! Pure backends use [`par::for_each_chunk`] directly. Backends whose
+//! Every backend evaluates a batch in one sequential pass; the fleet
+//! (`navicim-serve`) is the one place threads are spawned. Backends whose
 //! evaluation consumes hidden state (the CIM engine's noise) stay
-//! *bit-identical* across batch sizes, chunk sizes and thread counts by
-//! making that state splittable: noise comes from a counter-based stream
-//! indexed by the absolute evaluation number, and per-evaluation
-//! statistics flow through [`par::zip_chunks`]'s second buffer so the
-//! caller can merge them in index order afterwards.
+//! *bit-identical* across batch sizes by drawing that state from a
+//! counter-based stream indexed by the absolute evaluation number.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-
-pub mod par;
 
 /// A flat batch of fixed-dimension query points.
 ///
@@ -173,8 +167,8 @@ impl PointBatch {
         self.data.clear();
     }
 
-    /// Splits the batch into `(points-in-range,)` sub-slices for chunked
-    /// evaluation: returns the flat storage for points `range`.
+    /// The flat storage of points `start..end` — the view the 4-wide
+    /// kernels and the pruning tiles read.
     ///
     /// # Panics
     ///

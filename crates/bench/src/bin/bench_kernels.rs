@@ -21,22 +21,14 @@
 //!
 //! Run: `cargo run --release -p navicim-bench --bin bench_kernels`
 //!
+//! Every kernel runs as one sequential pass on the calling thread.
+//!
 //! Flags:
 //! - `--smoke` — tiny rep counts and the small workload only (CI),
-//! - `--threads` — additionally sweep worker counts per kernel under
-//!   pinned [`ChunkPolicy::exact`] splits, emitting `variant: "threads"`
-//!   rows whose `workers` field varies. This is the re-tune harness for
-//!   [`par::MIN_CHUNK`]: run it with `--features parallel` on a ≥4-core
-//!   host, read off the batch size where the multi-worker rows cross
-//!   below the single-worker row, and move the constant. Without the
-//!   feature the sweep still runs but every worker count collapses to
-//!   one thread (noted in the output), so rows only measure chunking
-//!   overhead.
 //! - `--out PATH` — JSON snapshot path (default `BENCH_kernels.json`).
 
 use navicim_analog::engine::{CimEngineConfig, HmgmCimEngine};
 use navicim_analog::mapping::SpaceMap;
-use navicim_backend::par::{self, ChunkPolicy};
 use navicim_backend::{LikelihoodBackend, PointBatch};
 use navicim_gmm::fit::{fit_diag_gmm, FitConfig};
 use navicim_gmm::gaussian::{Covariance, Gmm};
@@ -47,8 +39,7 @@ use navicim_math::simd::ulp_distance;
 use navicim_math::stats::{log_sum_exp, LN_2PI};
 use std::time::Instant;
 
-/// Batch sizes tracked in the perf trajectory (shared with
-/// `benches/bench_likelihood.rs`).
+/// Batch sizes tracked in the perf trajectory.
 const BATCH_SIZES: [usize; 3] = [64, 256, 1024];
 
 /// Regression gate on the digital fast-vs-reference drift, in ulps of
@@ -168,7 +159,6 @@ struct Row {
     variant: &'static str,
     k: usize,
     n: usize,
-    workers: usize,
     ns_per_point: f64,
 }
 
@@ -219,17 +209,6 @@ fn clustered_queries(center: &[f64], n: usize, seed: u64) -> PointBatch {
     batch
 }
 
-/// Worker count the auto [`ChunkPolicy`] resolves to for a batch of `n`
-/// (mirrors its resolution rule), so rows timed through the production
-/// entry points report the thread count actually used.
-fn auto_workers(n: usize) -> usize {
-    if cfg!(feature = "parallel") {
-        par::worker_count().min(n.div_ceil(par::MIN_CHUNK)).max(1)
-    } else {
-        1
-    }
-}
-
 fn json_escape_free(s: &str) -> &str {
     // All strings we emit are static identifiers/paths without quotes or
     // control characters; assert instead of escaping.
@@ -239,12 +218,11 @@ fn json_escape_free(s: &str) -> &str {
 
 fn row_json(r: &Row) -> String {
     format!(
-        "    {{\"kernel\": \"{}\", \"variant\": \"{}\", \"components\": {}, \"batch_size\": {}, \"workers\": {}, \"ns_per_point\": {:.2}}}",
+        "    {{\"kernel\": \"{}\", \"variant\": \"{}\", \"components\": {}, \"batch_size\": {}, \"ns_per_point\": {:.2}}}",
         json_escape_free(r.kernel),
         json_escape_free(r.variant),
         r.k,
         r.n,
-        r.workers,
         r.ns_per_point
     )
 }
@@ -252,7 +230,6 @@ fn row_json(r: &Row) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let threads = args.iter().any(|a| a == "--threads");
     let out_path = args
         .iter()
         .position(|a| a == "--out")
@@ -269,18 +246,9 @@ fn main() {
     let (reps, target_ns) = if smoke { (3, 2e5) } else { (9, 5e6) };
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Worker counts for the `--threads` sweep: the single-thread column
-    // plus powers of two up to the host's cores.
-    let mut worker_counts: Vec<usize> = vec![1];
-    for w in [2usize, 4, 8] {
-        if w <= cores {
-            worker_counts.push(w);
-        }
-    }
 
     let points = blob_points(600, 1);
     let mut rows: Vec<Row> = Vec::new();
-    let mut thread_rows: Vec<Row> = Vec::new();
     let mut gmm_max_ulp = 0u64;
     let mut hmgm_max_ulp = 0u64;
     let mut cim_exact = true;
@@ -356,7 +324,6 @@ fn main() {
                 variant: "simd",
                 k,
                 n,
-                workers: auto_workers(n),
                 ns_per_point: simd_ns,
             });
             rows.push(Row {
@@ -364,7 +331,6 @@ fn main() {
                 variant: "scalar_ref",
                 k,
                 n,
-                workers: 1,
                 ns_per_point: ref_ns,
             });
 
@@ -400,7 +366,6 @@ fn main() {
                 variant: "simd",
                 k,
                 n,
-                workers: auto_workers(n),
                 ns_per_point: simd_ns,
             });
             rows.push(Row {
@@ -408,7 +373,6 @@ fn main() {
                 variant: "scalar_ref",
                 k,
                 n,
-                workers: 1,
                 ns_per_point: ref_ns,
             });
 
@@ -452,7 +416,6 @@ fn main() {
                 variant: "simd",
                 k,
                 n,
-                workers: auto_workers(n),
                 ns_per_point: simd_ns,
             });
             rows.push(Row {
@@ -460,84 +423,8 @@ fn main() {
                 variant: "scalar_ref",
                 k,
                 n,
-                workers: auto_workers(n),
                 ns_per_point: ref_ns,
             });
-        }
-
-        // --- worker-count sweep (--threads) ---
-        // Raw scaling of each production batch kernel under pinned
-        // `ChunkPolicy::exact` splits, bypassing the min-chunk gate so
-        // every (n, workers) point is measured even below the production
-        // threshold. Reading off where the multi-worker rows dip under
-        // the single-worker row re-derives `par::MIN_CHUNK` on this host.
-        if threads && k == components[0] {
-            let mut sweep_sizes = batch_sizes.to_vec();
-            if !smoke {
-                // One size past the production threshold so the sweep
-                // brackets the break-even instead of stopping at it.
-                sweep_sizes.push(4 * par::MIN_CHUNK);
-            }
-            let mut gmm_t = gmm.clone();
-            let mut model_t = model.clone();
-            for &n in &sweep_sizes {
-                let mut batch = PointBatch::with_capacity(3, n);
-                for i in 0..n {
-                    batch.push(&points[i % points.len()]);
-                }
-                let mut out = vec![0.0; n];
-                for &w in &worker_counts {
-                    let policy = ChunkPolicy::exact(n.div_ceil(w), w);
-
-                    let iters = calibrate_iters(target_ns, || {
-                        gmm_t.log_likelihood_into_policy(&batch, &mut out, policy);
-                    });
-                    let ns = time_ns(reps, iters, || {
-                        gmm_t.log_likelihood_into_policy(&batch, &mut out, policy);
-                        std::hint::black_box(out[0]);
-                    }) / n as f64;
-                    thread_rows.push(Row {
-                        kernel: "gmm_plan",
-                        variant: "threads",
-                        k,
-                        n,
-                        workers: w,
-                        ns_per_point: ns,
-                    });
-
-                    let iters = calibrate_iters(target_ns, || {
-                        model_t.log_likelihood_into_policy(&batch, &mut out, policy);
-                    });
-                    let ns = time_ns(reps, iters, || {
-                        model_t.log_likelihood_into_policy(&batch, &mut out, policy);
-                        std::hint::black_box(out[0]);
-                    }) / n as f64;
-                    thread_rows.push(Row {
-                        kernel: "hmgm",
-                        variant: "threads",
-                        k,
-                        n,
-                        workers: w,
-                        ns_per_point: ns,
-                    });
-
-                    let iters = calibrate_iters(target_ns, || {
-                        engine.log_likelihood_into_chunked(&batch, &mut out, policy);
-                    });
-                    let ns = time_ns(reps, iters, || {
-                        engine.log_likelihood_into_chunked(&batch, &mut out, policy);
-                        std::hint::black_box(out[0]);
-                    }) / n as f64;
-                    thread_rows.push(Row {
-                        kernel: "cim_engine",
-                        variant: "threads",
-                        k,
-                        n,
-                        workers: w,
-                        ns_per_point: ns,
-                    });
-                }
-            }
         }
     }
 
@@ -727,7 +614,6 @@ fn main() {
                     variant: "pruned",
                     k,
                     n,
-                    workers: auto_workers(n),
                     ns_per_point: pruned_ns,
                 });
                 prune_rows.push(Row {
@@ -735,7 +621,6 @@ fn main() {
                     variant: "full",
                     k,
                     n,
-                    workers: auto_workers(n),
                     ns_per_point: full_ns,
                 });
             }
@@ -758,41 +643,6 @@ fn main() {
                 json_rows.push_str(",\n");
             }
             json_rows.push_str(&row_json(r));
-        }
-    }
-    for r in &thread_rows {
-        if !json_rows.is_empty() {
-            json_rows.push_str(",\n");
-        }
-        json_rows.push_str(&row_json(r));
-    }
-    if threads {
-        if !cfg!(feature = "parallel") {
-            println!(
-                "note: built without --features parallel; every worker count below runs \
-                 single-threaded (rows measure chunking overhead only)"
-            );
-        }
-        println!(
-            "threads sweep (ChunkPolicy::exact, min-chunk gate bypassed; \
-             production par::MIN_CHUNK = {})",
-            par::MIN_CHUNK
-        );
-        println!("kernel      k   n     workers  ns/point  vs w=1");
-        for r in &thread_rows {
-            let base = thread_rows
-                .iter()
-                .find(|b| b.kernel == r.kernel && b.n == r.n && b.workers == 1)
-                .expect("w=1 baseline row exists");
-            println!(
-                "{:<10} {:>3} {:>5} {:>8}  {:>7.1}ns {:>6.2}x",
-                r.kernel,
-                r.k,
-                r.n,
-                r.workers,
-                r.ns_per_point,
-                base.ns_per_point / r.ns_per_point
-            );
         }
     }
     println!(
@@ -858,7 +708,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"kernels\",\n  \"smoke\": {smoke},\n  \"host\": {{\"arch\": \"{}\", \"os\": \"{}\", \"cores\": {cores}, \"target_cpu\": \"{}\"}},\n  \"config\": {{\"dim\": 3, \"reps\": {reps}, \"threads_sweep\": {threads}}},\n  \"parity\": {{\"gmm_max_ulp\": {gmm_max_ulp}, \"hmgm_max_ulp\": {hmgm_max_ulp}, \"digital_ulp_gate\": {DIGITAL_MAX_ULP}, \"cim_bit_identical\": {cim_exact}}},\n  \"prune\": {{\"epsilon\": {PRUNE_EPSILON:e}, \"digital_max_abs\": {prune_digital_max_abs:e}, \"off_bit_identical\": {prune_off_exact}, \"cim_max_abs\": {cim_prune_max_abs:e}, \"cim_log_adc_lsb\": {cim_log_lsb:e}, \"cim_min_active_fraction\": {cim_min_active_fraction:.4}}},\n  \"rows\": [\n{json_rows}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"kernels\",\n  \"smoke\": {smoke},\n  \"host\": {{\"arch\": \"{}\", \"os\": \"{}\", \"cores\": {cores}, \"target_cpu\": \"{}\"}},\n  \"config\": {{\"dim\": 3, \"reps\": {reps}}},\n  \"parity\": {{\"gmm_max_ulp\": {gmm_max_ulp}, \"hmgm_max_ulp\": {hmgm_max_ulp}, \"digital_ulp_gate\": {DIGITAL_MAX_ULP}, \"cim_bit_identical\": {cim_exact}}},\n  \"prune\": {{\"epsilon\": {PRUNE_EPSILON:e}, \"digital_max_abs\": {prune_digital_max_abs:e}, \"off_bit_identical\": {prune_off_exact}, \"cim_max_abs\": {cim_prune_max_abs:e}, \"cim_log_adc_lsb\": {cim_log_lsb:e}, \"cim_min_active_fraction\": {cim_min_active_fraction:.4}}},\n  \"rows\": [\n{json_rows}\n  ]\n}}\n",
         json_escape_free(std::env::consts::ARCH),
         json_escape_free(std::env::consts::OS),
         json_escape_free(navicim_bench::target_cpu_label()),

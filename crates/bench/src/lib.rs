@@ -1,4 +1,4 @@
-//! Shared workloads for the experiment binaries and criterion benches.
+//! Shared workloads for the experiment and benchmark binaries.
 //!
 //! Every table/figure regeneration binary (`src/bin/fig*.rs`,
 //! `src/bin/tab*.rs`, `src/bin/abl*.rs`) builds its workload through this

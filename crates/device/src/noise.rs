@@ -13,10 +13,9 @@
 //!
 //! [`NoiseStream`] supplies the per-evaluation standard normals the
 //! likelihood engine scales through [`NoiseModel::sample_with_z`]. It is
-//! *counter-based*: sample `i` is a pure function of `(seed, i)`, so any
-//! chunk of a batch can be evaluated on any thread, in any order, and
-//! still perturb evaluation `i` with exactly the value a sequential pass
-//! would have used.
+//! *counter-based*: sample `i` is a pure function of `(seed, i)`, so a
+//! batch split into any sequence of calls still perturbs evaluation `i`
+//! with exactly the value one sequential pass would have used.
 
 use crate::params::{BOLTZMANN, ELECTRON_CHARGE};
 use navicim_math::rng::{Rng64, SampleExt};
@@ -103,10 +102,9 @@ fn unit_f64(word: u64) -> f64 {
 /// them through the same Box–Muller transform as
 /// [`SampleExt::sample_standard_normal`]. Two consequences:
 ///
-/// - **Chunk/thread invariance.** A batch evaluator that assigns each
+/// - **Batch-split invariance.** A batch evaluator that assigns each
 ///   evaluation its absolute stream index produces bit-identical noise no
-///   matter how the batch is chunked or which thread serves which chunk —
-///   the property the `parallel` feature of `navicim-backend` relies on.
+///   matter how the queries are split into batches.
 /// - **Sequential equivalence.** Drawing indices `0, 1, 2, …` reproduces
 ///   exactly the sequence a `SplitMix64`-backed
 ///   [`SampleExt::sample_standard_normal`] sampler would emit.

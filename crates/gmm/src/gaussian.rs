@@ -7,7 +7,7 @@
 
 use crate::prune::{PruneConfig, PruneIndex, PruneScratch, PRUNE_TILE};
 use crate::{GmmError, Result};
-use navicim_backend::{check_batch_shape, par, LikelihoodBackend, PointBatch};
+use navicim_backend::{check_batch_shape, LikelihoodBackend, PointBatch};
 use navicim_math::linalg::Matrix;
 use navicim_math::rng::{Rng64, SampleExt};
 use navicim_math::simd::{log_sum_exp_fast, F64x4, LANES};
@@ -35,8 +35,8 @@ pub struct Gmm {
     /// parameters are immutable after [`Gmm::new`]). `None` for full
     /// covariance.
     diag_plan: Option<DiagPlan>,
-    /// Reused component/axis scratch for the single-chunk batch path, so
-    /// a warmed model evaluates frames without touching the heap.
+    /// Reused component/axis scratch for the batch path, so a warmed
+    /// model evaluates frames without touching the heap.
     scratch: BatchScratch,
 }
 
@@ -275,9 +275,8 @@ impl DiagPlan {
 
 /// Reused per-evaluation buffers of the batch likelihood kernel:
 /// component terms (scalar and 4-wide), the transposed axis lanes and the
-/// pruning tile scratch. Held by the [`Gmm`] so the single-chunk path —
-/// the per-frame production configuration — is allocation-free once
-/// warmed; the threaded path gives each chunk closure its own.
+/// pruning tile scratch. Held by the [`Gmm`] so the batch path is
+/// allocation-free once warmed.
 #[derive(Debug, Clone, Default)]
 struct BatchScratch {
     terms: Vec<f64>,
@@ -501,145 +500,60 @@ impl GmmEvalPlan<'_> {
 }
 
 impl Gmm {
-    /// Batch log-likelihood under an explicit [`par::ChunkPolicy`].
-    ///
-    /// Identical bits to [`LikelihoodBackend::log_likelihood_into`] for
-    /// every `(chunk_len, workers)` pair — each point's math is
-    /// self-contained, so chunk boundaries and thread assignment are
-    /// unobservable in the output. Exposed so the thread-sweep bench can
-    /// re-tune [`par::MIN_CHUNK`] against the production kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or if `out.len() != batch.len()`.
-    pub fn log_likelihood_into_policy(
-        &mut self,
-        batch: &PointBatch,
-        out: &mut [f64],
-        policy: par::ChunkPolicy,
-    ) {
-        let dim = Gmm::dim(self);
-        check_batch_shape(dim, batch, out);
-        let n = batch.len();
-        let has_lane_path = matches!(self.covariance, Covariance::Diagonal(_));
-        if policy.is_single_chunk(n) {
-            // Sequential production path: evaluate the whole batch inline
-            // through the struct-held scratch — allocation-free once the
-            // buffers have grown to the component count.
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let plan = self.eval_plan();
-            match self.prune.as_ref() {
-                Some(index) => {
-                    Self::eval_range_pruned(&plan, index, batch, n, 0, out, &mut scratch)
-                }
-                None => Self::eval_range(&plan, has_lane_path, batch, 0, out, &mut scratch),
-            }
-            self.scratch = scratch;
-            return;
-        }
-        let plan = self.eval_plan();
-        if let Some(index) = self.prune.as_ref() {
-            par::for_each_chunk_policy(policy, out, |start, chunk| {
-                // Threaded chunk: worker-local scratch (allocates by
-                // design — thread spawning already does). Bit-identical
-                // to the inline path: scratch capacity is unobservable.
-                // lint: allow(hot-path-alloc) threaded chunk closures own their scratch
-                let mut scratch = BatchScratch::default();
-                Self::eval_range_pruned(&plan, index, batch, n, start, chunk, &mut scratch);
-            });
-        } else {
-            par::for_each_chunk_policy(policy, out, |start, chunk| {
-                // lint: allow(hot-path-alloc) threaded chunk closures own their scratch
-                let mut scratch = BatchScratch::default();
-                Self::eval_range(&plan, has_lane_path, batch, start, chunk, &mut scratch);
-            });
-        }
-    }
-
-    /// Pruned evaluation of `chunk` (the output slice anchored at batch
-    /// index `start`): fixed tiles anchored at absolute batch indices
-    /// share one candidate query, so the pruning decision — and therefore
-    /// the output bits — cannot depend on chunk boundaries or thread
-    /// assignment.
-    fn eval_range_pruned(
+    /// Evaluates the whole batch in tiles. With a prune index, each tile
+    /// is [`PRUNE_TILE`] points anchored at batch index 0 that share one
+    /// candidate query, so the pruning decision — and therefore the
+    /// output bits — depend only on the batch; a tile holding a
+    /// non-finite coordinate gets every component, bit-identical to the
+    /// unpruned path. Without one, the batch is a single tile over every
+    /// component. The 4-wide body applies the exact scalar per-point
+    /// math in each lane, so the grouping is unobservable in the output
+    /// bits.
+    fn eval_batch(
         plan: &GmmEvalPlan<'_>,
-        index: &PruneIndex,
-        batch: &PointBatch,
-        n: usize,
-        start: usize,
-        chunk: &mut [f64],
-        s: &mut BatchScratch,
-    ) {
-        let end = start + chunk.len();
-        let mut pos = start;
-        while pos < end {
-            let tile_lo = (pos / PRUNE_TILE) * PRUNE_TILE;
-            let tile_hi = (tile_lo + PRUNE_TILE).min(n);
-            let piece_end = end.min(tile_hi);
-            let tile = batch.flat_range(tile_lo, tile_hi);
-            let cands = index.candidates_for_points(tile, &[], &mut s.prune);
-            let mut offset = pos;
-            match cands {
-                Some(cands) => {
-                    while offset + LANES <= piece_end {
-                        let flat = batch.flat_range(offset, offset + LANES);
-                        let four = plan
-                            .log_pdf4_subset(flat, cands, &mut s.terms4, &mut s.xs4)
-                            .expect("diagonal plan has a lane path");
-                        chunk[offset - start..offset - start + LANES].copy_from_slice(&four);
-                        offset += LANES;
-                    }
-                    for i in offset..piece_end {
-                        chunk[i - start] = plan.log_pdf_subset(batch.point(i), cands, &mut s.terms);
-                    }
-                }
-                // Non-finite tile: full evaluation, bit-identical
-                // to the unpruned path for these points.
-                None => {
-                    while offset + LANES <= piece_end {
-                        let flat = batch.flat_range(offset, offset + LANES);
-                        let four = plan
-                            .log_pdf4(flat, &mut s.terms4, &mut s.xs4)
-                            .expect("diagonal plan has a lane path");
-                        chunk[offset - start..offset - start + LANES].copy_from_slice(&four);
-                        offset += LANES;
-                    }
-                    for i in offset..piece_end {
-                        chunk[i - start] = plan.log_pdf(batch.point(i), &mut s.terms);
-                    }
-                }
-            }
-            pos = piece_end;
-        }
-    }
-
-    /// Unpruned evaluation of `chunk` (anchored at batch index `start`).
-    fn eval_range(
-        plan: &GmmEvalPlan<'_>,
+        index: Option<&PruneIndex>,
         has_lane_path: bool,
         batch: &PointBatch,
-        start: usize,
-        chunk: &mut [f64],
+        out: &mut [f64],
         s: &mut BatchScratch,
     ) {
-        let mut offset = 0;
-        // 4-wide body. Safe at any chunk boundary: each lane applies
-        // the exact scalar per-point math, so the grouping below is
-        // unobservable in the output bits.
-        if has_lane_path {
-            while offset + LANES <= chunk.len() {
-                let flat = batch.flat_range(start + offset, start + offset + LANES);
-                let four = plan
-                    .log_pdf4(flat, &mut s.terms4, &mut s.xs4)
+        let n = out.len();
+        let tile = if index.is_some() {
+            PRUNE_TILE
+        } else {
+            n.max(1)
+        };
+        for tile_lo in (0..n).step_by(tile) {
+            let tile_hi = (tile_lo + tile).min(n);
+            let cands = match index {
+                Some(index) => index.candidates_for_points(
+                    batch.flat_range(tile_lo, tile_hi),
+                    &[],
+                    &mut s.prune,
+                ),
+                None => None,
+            };
+            let mut offset = tile_lo;
+            if has_lane_path {
+                while offset + LANES <= tile_hi {
+                    let flat = batch.flat_range(offset, offset + LANES);
+                    let four = match cands {
+                        Some(cands) => plan.log_pdf4_subset(flat, cands, &mut s.terms4, &mut s.xs4),
+                        None => plan.log_pdf4(flat, &mut s.terms4, &mut s.xs4),
+                    }
                     .expect("diagonal plan has a lane path");
-                chunk[offset..offset + LANES].copy_from_slice(&four);
-                offset += LANES;
+                    out[offset..offset + LANES].copy_from_slice(&four);
+                    offset += LANES;
+                }
             }
-        }
-        // Scalar remainder tail (and the whole chunk for full
-        // covariance models).
-        for (i, o) in chunk.iter_mut().enumerate().skip(offset) {
-            *o = plan.log_pdf(batch.point(start + i), &mut s.terms);
+            // Scalar remainder tail (and the whole batch for full
+            // covariance models).
+            for i in offset..tile_hi {
+                out[i] = match cands {
+                    Some(cands) => plan.log_pdf_subset(batch.point(i), cands, &mut s.terms),
+                    None => plan.log_pdf(batch.point(i), &mut s.terms),
+                };
+            }
         }
     }
 }
@@ -650,7 +564,16 @@ impl LikelihoodBackend for Gmm {
     }
 
     fn log_likelihood_into(&mut self, batch: &PointBatch, out: &mut [f64]) {
-        self.log_likelihood_into_policy(batch, out, par::ChunkPolicy::auto());
+        check_batch_shape(Gmm::dim(self), batch, out);
+        let has_lane_path = matches!(self.covariance, Covariance::Diagonal(_));
+        // One sequential pass through the struct-held scratch —
+        // allocation-free once the buffers have grown to the component
+        // count.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let plan = self.eval_plan();
+        let index = self.prune.as_ref();
+        Self::eval_batch(&plan, index, has_lane_path, batch, out, &mut scratch);
+        self.scratch = scratch;
     }
 }
 
@@ -777,19 +700,20 @@ mod tests {
     }
 
     #[test]
-    fn policy_batch_path_is_chunking_invariant() {
+    fn batch_path_matches_scalar_and_split_calls() {
         let mut gmm = simple_diag();
         let mut rng = Pcg32::seed_from_u64(4);
-        let mut batch = PointBatch::with_capacity(2, 11);
-        for _ in 0..11 {
-            batch.push(&gmm.sample(&mut rng));
+        let rows: Vec<Vec<f64>> = (0..11).map(|_| gmm.sample(&mut rng)).collect();
+        let batch = PointBatch::from_rows(2, &rows);
+        let mut whole = vec![0.0; 11];
+        gmm.log_likelihood_into(&batch, &mut whole);
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(gmm.log_likelihood_point(row), whole[i], "point {i}");
         }
-        let mut auto = vec![0.0; 11];
-        gmm.log_likelihood_into(&batch, &mut auto);
-        for policy in [par::ChunkPolicy::exact(3, 4), par::ChunkPolicy::exact(1, 2)] {
-            let mut out = vec![0.0; 11];
-            gmm.log_likelihood_into_policy(&batch, &mut out, policy);
-            assert_eq!(out, auto);
-        }
+        // Split calls (a lane group, then a ragged tail) ≡ one call.
+        let mut split = vec![0.0; 11];
+        gmm.log_likelihood_into(&PointBatch::from_rows(2, &rows[..5]), &mut split[..5]);
+        gmm.log_likelihood_into(&PointBatch::from_rows(2, &rows[5..]), &mut split[5..]);
+        assert_eq!(split, whole);
     }
 }

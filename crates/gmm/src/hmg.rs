@@ -14,7 +14,7 @@
 use crate::fit::{fit_diag_gmm, FitConfig};
 use crate::prune::{PruneConfig, PruneIndex, PruneScratch, PRUNE_TILE};
 use crate::{check_dims, GmmError, Result};
-use navicim_backend::{check_batch_shape, par, LikelihoodBackend, PointBatch};
+use navicim_backend::{check_batch_shape, LikelihoodBackend, PointBatch};
 use navicim_math::rng::Rng64;
 use navicim_math::simd::{exp_fast, F64x4, LANES};
 
@@ -137,15 +137,14 @@ pub struct HmgmModel {
     /// Spatial culling index for the batch paths; `None` (the default)
     /// keeps every evaluation path untouched. See [`crate::prune`].
     prune: Option<PruneIndex>,
-    /// Reused lane/pruning scratch for the single-chunk batch path, so a
-    /// warmed model evaluates frames without touching the heap.
+    /// Reused lane/pruning scratch for the batch path, so a warmed model
+    /// evaluates frames without touching the heap.
     scratch: HmgScratch,
 }
 
 /// Reused per-evaluation buffers of the HMGM batch kernel: transposed
 /// axis lanes plus the pruning tile scratch. Held by the model so the
-/// single-chunk path is allocation-free once warmed; the threaded path
-/// gives each chunk closure its own.
+/// batch path is allocation-free once warmed.
 #[derive(Debug, Clone, Default)]
 struct HmgScratch {
     xs4: Vec<F64x4>,
@@ -349,122 +348,53 @@ impl HmgmModel {
 }
 
 impl HmgmModel {
-    /// Batch log-likelihood under an explicit [`par::ChunkPolicy`].
-    ///
-    /// Identical bits to [`LikelihoodBackend::log_likelihood_into`] for
-    /// every `(chunk_len, workers)` pair — each point's math is
-    /// self-contained, so chunk boundaries and thread assignment are
-    /// unobservable in the output. Exposed so the thread-sweep bench can
-    /// re-tune [`par::MIN_CHUNK`] against the production kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or if `out.len() != batch.len()`.
-    pub fn log_likelihood_into_policy(
-        &mut self,
+    /// Evaluates the whole batch in tiles. With a prune index, each tile
+    /// is [`PRUNE_TILE`] points anchored at batch index 0 that share one
+    /// candidate query, so the pruning decision — and therefore the
+    /// output bits — depend only on the batch; a tile holding a
+    /// non-finite coordinate gets every kernel, bit-identical to the
+    /// unpruned path. Without one, the batch is a single tile over every
+    /// kernel. Lane math is per-point identical to
+    /// [`Self::log_likelihood`], so the grouping yields the same bits.
+    fn eval_batch(
+        &self,
+        index: Option<&PruneIndex>,
         batch: &PointBatch,
         out: &mut [f64],
-        policy: par::ChunkPolicy,
-    ) {
-        check_batch_shape(HmgmModel::dim(self), batch, out);
-        let n = batch.len();
-        if policy.is_single_chunk(n) {
-            // Sequential production path: evaluate the whole batch inline
-            // through the struct-held scratch — allocation-free once the
-            // buffers have grown to the model dimension.
-            let mut scratch = std::mem::take(&mut self.scratch);
-            match self.prune.as_ref() {
-                Some(index) => self.eval_range_pruned(index, batch, n, 0, out, &mut scratch),
-                None => self.eval_range(batch, 0, out, &mut scratch),
-            }
-            self.scratch = scratch;
-            return;
-        }
-        let model = &*self;
-        if let Some(index) = self.prune.as_ref() {
-            par::for_each_chunk_policy(policy, out, |start, chunk| {
-                // Threaded chunk: worker-local scratch (allocates by
-                // design — thread spawning already does). Bit-identical
-                // to the inline path: scratch capacity is unobservable.
-                // lint: allow(hot-path-alloc) threaded chunk closures own their scratch
-                let mut scratch = HmgScratch::default();
-                model.eval_range_pruned(index, batch, n, start, chunk, &mut scratch);
-            });
-            return;
-        }
-        par::for_each_chunk_policy(policy, out, |start, chunk| {
-            // lint: allow(hot-path-alloc) threaded chunk closures own their scratch
-            let mut scratch = HmgScratch::default();
-            model.eval_range(batch, start, chunk, &mut scratch);
-        });
-    }
-
-    /// Pruned evaluation of `chunk` (the output slice anchored at batch
-    /// index `start`): fixed tiles anchored at absolute batch indices
-    /// share one candidate query, so the pruning decision — and therefore
-    /// the output bits — cannot depend on chunk boundaries or thread
-    /// assignment.
-    fn eval_range_pruned(
-        &self,
-        index: &PruneIndex,
-        batch: &PointBatch,
-        n: usize,
-        start: usize,
-        chunk: &mut [f64],
         s: &mut HmgScratch,
     ) {
-        let end = start + chunk.len();
-        let mut pos = start;
-        while pos < end {
-            let tile_lo = (pos / PRUNE_TILE) * PRUNE_TILE;
-            let tile_hi = (tile_lo + PRUNE_TILE).min(n);
-            let piece_end = end.min(tile_hi);
-            let tile = batch.flat_range(tile_lo, tile_hi);
-            let cands = index.candidates_for_points(tile, &[], &mut s.prune);
-            let mut offset = pos;
-            match cands {
-                Some(cands) => {
-                    while offset + LANES <= piece_end {
-                        let flat = batch.flat_range(offset, offset + LANES);
-                        chunk[offset - start..offset - start + LANES]
-                            .copy_from_slice(&self.log_likelihood4_subset(flat, cands, &mut s.xs4));
-                        offset += LANES;
-                    }
-                    for i in offset..piece_end {
-                        chunk[i - start] = self.log_likelihood_subset(batch.point(i), cands);
-                    }
-                }
-                // Non-finite tile: full evaluation, bit-identical
-                // to the unpruned path for these points.
-                None => {
-                    while offset + LANES <= piece_end {
-                        let flat = batch.flat_range(offset, offset + LANES);
-                        chunk[offset - start..offset - start + LANES]
-                            .copy_from_slice(&self.log_likelihood4(flat, &mut s.xs4));
-                        offset += LANES;
-                    }
-                    for i in offset..piece_end {
-                        chunk[i - start] = self.log_likelihood(batch.point(i));
-                    }
-                }
+        let n = out.len();
+        let tile = if index.is_some() {
+            PRUNE_TILE
+        } else {
+            n.max(1)
+        };
+        for tile_lo in (0..n).step_by(tile) {
+            let tile_hi = (tile_lo + tile).min(n);
+            let cands = match index {
+                Some(index) => index.candidates_for_points(
+                    batch.flat_range(tile_lo, tile_hi),
+                    &[],
+                    &mut s.prune,
+                ),
+                None => None,
+            };
+            let mut offset = tile_lo;
+            while offset + LANES <= tile_hi {
+                let flat = batch.flat_range(offset, offset + LANES);
+                let four = match cands {
+                    Some(cands) => self.log_likelihood4_subset(flat, cands, &mut s.xs4),
+                    None => self.log_likelihood4(flat, &mut s.xs4),
+                };
+                out[offset..offset + LANES].copy_from_slice(&four);
+                offset += LANES;
             }
-            pos = piece_end;
-        }
-    }
-
-    /// Unpruned evaluation of `chunk` (anchored at batch index `start`):
-    /// 4-wide body plus scalar remainder tail; lane math is per-point
-    /// identical to [`Self::log_likelihood`], so any chunk boundary or
-    /// grouping yields the same bits.
-    fn eval_range(&self, batch: &PointBatch, start: usize, chunk: &mut [f64], s: &mut HmgScratch) {
-        let mut offset = 0;
-        while offset + LANES <= chunk.len() {
-            let flat = batch.flat_range(start + offset, start + offset + LANES);
-            chunk[offset..offset + LANES].copy_from_slice(&self.log_likelihood4(flat, &mut s.xs4));
-            offset += LANES;
-        }
-        for (i, o) in chunk.iter_mut().enumerate().skip(offset) {
-            *o = self.log_likelihood(batch.point(start + i));
+            for i in offset..tile_hi {
+                out[i] = match cands {
+                    Some(cands) => self.log_likelihood_subset(batch.point(i), cands),
+                    None => self.log_likelihood(batch.point(i)),
+                };
+            }
         }
     }
 }
@@ -475,7 +405,13 @@ impl LikelihoodBackend for HmgmModel {
     }
 
     fn log_likelihood_into(&mut self, batch: &PointBatch, out: &mut [f64]) {
-        self.log_likelihood_into_policy(batch, out, par::ChunkPolicy::auto());
+        check_batch_shape(HmgmModel::dim(self), batch, out);
+        // One sequential pass through the struct-held scratch —
+        // allocation-free once the buffers have grown to the model
+        // dimension.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.eval_batch(self.prune.as_ref(), batch, out, &mut scratch);
+        self.scratch = scratch;
     }
 }
 
@@ -789,21 +725,24 @@ mod tests {
     }
 
     #[test]
-    fn policy_batch_path_is_chunking_invariant() {
+    fn batch_path_matches_scalar_and_split_calls() {
         let k1 = HmgKernel::new(vec![0.0, 0.0], vec![1.0, 1.0], 1.0).unwrap();
         let k2 = HmgKernel::new(vec![2.0, -1.0], vec![0.5, 0.8], 2.0).unwrap();
         let mut m = HmgmModel::new(vec![2.0, 1.0], vec![k1, k2]).unwrap();
         let mut rng = Pcg32::seed_from_u64(5);
-        let mut batch = PointBatch::with_capacity(2, 11);
-        for _ in 0..11 {
-            batch.push(&[rng.sample_normal(0.5, 1.5), rng.sample_normal(-0.5, 1.5)]);
+        let rows: Vec<Vec<f64>> = (0..11)
+            .map(|_| vec![rng.sample_normal(0.5, 1.5), rng.sample_normal(-0.5, 1.5)])
+            .collect();
+        let batch = PointBatch::from_rows(2, &rows);
+        let mut whole = vec![0.0; 11];
+        m.log_likelihood_into(&batch, &mut whole);
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(m.log_likelihood(row), whole[i], "point {i}");
         }
-        let mut auto = vec![0.0; 11];
-        m.log_likelihood_into(&batch, &mut auto);
-        for policy in [par::ChunkPolicy::exact(3, 4), par::ChunkPolicy::exact(1, 2)] {
-            let mut out = vec![0.0; 11];
-            m.log_likelihood_into_policy(&batch, &mut out, policy);
-            assert_eq!(out, auto);
-        }
+        // Split calls (a lane group, then a ragged tail) ≡ one call.
+        let mut split = vec![0.0; 11];
+        m.log_likelihood_into(&PointBatch::from_rows(2, &rows[..5]), &mut split[..5]);
+        m.log_likelihood_into(&PointBatch::from_rows(2, &rows[5..]), &mut split[5..]);
+        assert_eq!(split, whole);
     }
 }

@@ -26,13 +26,10 @@
 //! # Tiling
 //!
 //! Queries are grouped into fixed tiles of [`PRUNE_TILE`] consecutive
-//! batch points, anchored at absolute batch indices. Because a
-//! tile's AABB is computed over the *full* tile regardless of chunk
-//! boundaries, the pruning decision is invariant under every
-//! `par::ChunkPolicy` — chunking stays unobservable in the output bits,
-//! pruned or not. A tile containing any non-finite coordinate falls back
-//! to the full component set, so NaN/∞ propagation matches the unpruned
-//! path exactly.
+//! batch points, anchored at batch index 0, so the pruning decision
+//! depends only on the batch itself. A tile containing any non-finite
+//! coordinate falls back to the full component set, so NaN/∞ propagation
+//! matches the unpruned path exactly.
 
 use crate::gaussian::{Covariance, Gmm};
 use crate::hmg::{HmgKernel, HmgmModel};
@@ -115,8 +112,8 @@ enum BoundModel {
 }
 
 /// Reusable query-side scratch for [`PruneIndex::candidates_for_points`]
-/// (AABB, candidate bitset, upper-bound staging). One per worker chunk,
-/// mirroring the existing per-chunk `terms4`/`xs4` idiom.
+/// (AABB, candidate bitset, upper-bound staging), held next to the
+/// kernel's `terms4`/`xs4` lane scratch.
 #[derive(Debug, Clone, Default)]
 pub struct PruneScratch {
     lo: Vec<f64>,
@@ -131,7 +128,7 @@ pub struct PruneScratch {
 
 /// Uniform spatial grid over the component means with per-cell
 /// conservative candidate lists. Built once at backend construction;
-/// shared read-only by every chunk of every batch.
+/// shared read-only by every batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PruneIndex {
     dim: usize,
@@ -790,7 +787,7 @@ mod tests {
 
     #[test]
     fn pruned_gmm_batch_matches_full_within_epsilon() {
-        use navicim_backend::{par, PointBatch};
+        use navicim_backend::{LikelihoodBackend, PointBatch};
         let mut rng = Pcg32::seed_from_u64(21);
         for &k in &[4usize, 16, 64] {
             let mut full = spread_gmm(k);
@@ -809,27 +806,21 @@ mod tests {
                 ]);
             }
             let mut want = vec![0.0; batch.len()];
-            full.log_likelihood_into_policy(&batch, &mut want, par::ChunkPolicy::auto());
-            for policy in [
-                par::ChunkPolicy::auto(),
-                par::ChunkPolicy::exact(100, 4),
-                par::ChunkPolicy::exact(3, 2),
-            ] {
-                let mut got = vec![0.0; batch.len()];
-                pruned.log_likelihood_into_policy(&batch, &mut got, policy);
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert!(
-                        (g - w).abs() <= PRUNE_EPSILON,
-                        "k={k} point {i}: pruned {g} vs full {w}"
-                    );
-                }
+            full.log_likelihood_into(&batch, &mut want);
+            let mut got = vec![0.0; batch.len()];
+            pruned.log_likelihood_into(&batch, &mut got);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    (g - w).abs() <= PRUNE_EPSILON,
+                    "k={k} point {i}: pruned {g} vs full {w}"
+                );
             }
         }
     }
 
     #[test]
     fn pruned_hmgm_batch_matches_full_within_epsilon() {
-        use navicim_backend::{par, PointBatch};
+        use navicim_backend::{LikelihoodBackend, PointBatch};
         let mut rng = Pcg32::seed_from_u64(22);
         for &k in &[4usize, 16, 64] {
             let mut full = spread_hmgm(k);
@@ -847,27 +838,21 @@ mod tests {
                 ]);
             }
             let mut want = vec![0.0; batch.len()];
-            full.log_likelihood_into_policy(&batch, &mut want, par::ChunkPolicy::auto());
-            for policy in [
-                par::ChunkPolicy::auto(),
-                par::ChunkPolicy::exact(100, 4),
-                par::ChunkPolicy::exact(3, 2),
-            ] {
-                let mut got = vec![0.0; batch.len()];
-                pruned.log_likelihood_into_policy(&batch, &mut got, policy);
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert!(
-                        (g - w).abs() <= PRUNE_EPSILON,
-                        "k={k} point {i}: pruned {g} vs full {w}"
-                    );
-                }
+            full.log_likelihood_into(&batch, &mut want);
+            let mut got = vec![0.0; batch.len()];
+            pruned.log_likelihood_into(&batch, &mut got);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    (g - w).abs() <= PRUNE_EPSILON,
+                    "k={k} point {i}: pruned {g} vs full {w}"
+                );
             }
         }
     }
 
     #[test]
     fn non_finite_points_fall_back_bit_identically() {
-        use navicim_backend::{par, PointBatch};
+        use navicim_backend::{LikelihoodBackend, PointBatch};
         let mut rng = Pcg32::seed_from_u64(23);
         let mut full = spread_gmm(16);
         let mut pruned = spread_gmm(16);
@@ -884,9 +869,9 @@ mod tests {
         // to the full path, so outputs are bit-identical — including NaN
         // propagation patterns.
         let mut want = vec![0.0; batch.len()];
-        full.log_likelihood_into_policy(&batch, &mut want, par::ChunkPolicy::auto());
+        full.log_likelihood_into(&batch, &mut want);
         let mut got = vec![0.0; batch.len()];
-        pruned.log_likelihood_into_policy(&batch, &mut got, par::ChunkPolicy::exact(7, 3));
+        pruned.log_likelihood_into(&batch, &mut got);
         assert_eq!(
             want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             got.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -896,9 +881,9 @@ mod tests {
         let mut hpruned = spread_hmgm(16);
         hpruned.set_prune(PruneConfig::enabled());
         let mut hwant = vec![0.0; batch.len()];
-        hfull.log_likelihood_into_policy(&batch, &mut hwant, par::ChunkPolicy::auto());
+        hfull.log_likelihood_into(&batch, &mut hwant);
         let mut hgot = vec![0.0; batch.len()];
-        hpruned.log_likelihood_into_policy(&batch, &mut hgot, par::ChunkPolicy::exact(7, 3));
+        hpruned.log_likelihood_into(&batch, &mut hgot);
         assert_eq!(
             hwant.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             hgot.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -907,7 +892,7 @@ mod tests {
 
     #[test]
     fn prune_toggle_off_restores_bit_identity() {
-        use navicim_backend::{par, PointBatch};
+        use navicim_backend::{LikelihoodBackend, PointBatch};
         let mut rng = Pcg32::seed_from_u64(24);
         let mut batch = PointBatch::new(2);
         for _ in 0..300 {
@@ -921,9 +906,9 @@ mod tests {
         toggled.set_prune(PruneConfig::enabled());
         toggled.set_prune(PruneConfig::default());
         let mut want = vec![0.0; batch.len()];
-        baseline.log_likelihood_into_policy(&batch, &mut want, par::ChunkPolicy::auto());
+        baseline.log_likelihood_into(&batch, &mut want);
         let mut got = vec![0.0; batch.len()];
-        toggled.log_likelihood_into_policy(&batch, &mut got, par::ChunkPolicy::auto());
+        toggled.log_likelihood_into(&batch, &mut got);
         assert_eq!(
             want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             got.iter().map(|v| v.to_bits()).collect::<Vec<_>>()

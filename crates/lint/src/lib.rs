@@ -2,7 +2,7 @@
 //! zero-alloc contracts.
 //!
 //! The reproduction's load-bearing invariants — bit-identical likelihood
-//! kernels under any chunk/thread/batch split, zero-alloc hot paths,
+//! kernels under any batch split, zero-alloc hot paths,
 //! deterministic replay — are invisible to the compiler. This crate
 //! turns them into an exit-code check (`cargo run -p navicim-lint`) over
 //! `crates/*/src/**.rs` using a string/comment-aware masking lexer
@@ -140,13 +140,12 @@ const HOT_PATH_FNS: &[(&str, &str)] = &[
     ("crates/core/src/pipeline.rs", "step"),
     ("crates/serve/src/fleet.rs", "step_round"),
     ("crates/serve/src/fleet.rs", "step_sessions"),
-    ("crates/gmm/src/gaussian.rs", "log_likelihood_into_policy"),
-    ("crates/gmm/src/gaussian.rs", "eval_range"),
-    ("crates/gmm/src/gaussian.rs", "eval_range_pruned"),
-    ("crates/gmm/src/hmg.rs", "log_likelihood_into_policy"),
-    ("crates/gmm/src/hmg.rs", "eval_range"),
-    ("crates/gmm/src/hmg.rs", "eval_range_pruned"),
-    ("crates/analog/src/engine.rs", "log_likelihood_into_chunked"),
+    ("crates/gmm/src/gaussian.rs", "log_likelihood_into"),
+    ("crates/gmm/src/gaussian.rs", "eval_batch"),
+    ("crates/gmm/src/hmg.rs", "log_likelihood_into"),
+    ("crates/gmm/src/hmg.rs", "eval_batch"),
+    ("crates/analog/src/engine.rs", "log_likelihood_into"),
+    ("crates/analog/src/engine.rs", "eval"),
 ];
 
 /// Allocating calls forbidden inside hot-path function bodies.
@@ -167,7 +166,7 @@ const ALLOC_TOKENS: &[&str] = &[
 ];
 
 /// Files serving *batches*: noise must be drawn by absolute index so the
-/// value cannot depend on chunk/thread assignment.
+/// value cannot depend on how queries are split into batches.
 const BATCH_NOISE_FILES: &[&str] = &["crates/analog/src/engine.rs", "crates/serve/src/"];
 
 // ---------------------------------------------------------------------
@@ -666,7 +665,7 @@ fn rule_hot_path_alloc(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 }
 
 /// Rule 8: batch paths must draw noise by absolute index (`.at(i)`), so
-/// the value a query sees cannot depend on chunk/thread assignment.
+/// the value a query sees cannot depend on how queries are batched.
 /// Sequential draws (`next_z`) and cursor moves (`advance`) in batch
 /// files are flagged.
 fn rule_noise_stream_seq(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {

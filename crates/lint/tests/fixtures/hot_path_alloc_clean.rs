@@ -1,5 +1,5 @@
 impl Engine {
-    pub fn log_likelihood_into_chunked(&mut self, batch: &PointBatch, out: &mut [f64]) {
+    pub fn log_likelihood_into(&mut self, batch: &PointBatch, out: &mut [f64]) {
         self.scratch.clear();
         self.scratch.extend_from_slice(batch.as_flat());
         out.copy_from_slice(&self.scratch);

@@ -14,8 +14,9 @@
 //! counter as the process-wide `#[global_allocator]`. The counters are
 //! process-global and count *every* thread's traffic, so audited regions
 //! must run while no other thread allocates — the `tests/alloc_audit.rs`
-//! harness serializes its cases behind a mutex and pins fleet rounds to
-//! one worker for exactly this reason.
+//! target runs without the libtest harness, one case after another on
+//! the main thread, and pins fleet rounds to one worker for exactly this
+//! reason.
 //!
 //! Overhead is one relaxed atomic increment per heap event, so the full
 //! test suite can run under the audit allocator unchanged.
@@ -158,10 +159,10 @@ mod tests {
     }
 
     // Exact-zero steady-state assertions live in the workspace-level
-    // `tests/alloc_audit.rs` harness, whose cases serialize behind a
-    // mutex: these module tests share a process (and therefore the
-    // global counters) with the rest of the crate's parallel suite, so
-    // only monotone `>=` claims are meaningful here.
+    // `tests/alloc_audit.rs` target, whose cases run one after another
+    // on its main thread: these module tests share a process (and
+    // therefore the global counters) with the rest of the crate's
+    // parallel suite, so only monotone `>=` claims are meaningful here.
     #[test]
     fn counts_vec_growth_as_acquisition() {
         let mut v: Vec<u64> = Vec::new();

@@ -15,8 +15,7 @@
 //! A kernel that processes points in groups of four lanes plus a scalar
 //! remainder tail therefore produces bit-identical results for a point
 //! regardless of which lane (or the tail) served it, which is what keeps
-//! the batched backends invariant under arbitrary chunk splits (see
-//! `navicim_backend::par`).
+//! the batched backends invariant under arbitrary batch splits.
 //!
 //! # `exp_fast` and the ulp gate
 //!

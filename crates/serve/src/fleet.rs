@@ -9,9 +9,8 @@
 //! from a shared `Mutex`-guarded iterator; the caller's thread is one of
 //! the workers and [`std::thread::scope`] spawns the others, so a
 //! one-worker fleet runs the same loop with no spawn and no allocation.
-//! Every thread working the loop, the caller's included, opens a
-//! [`par::serial_kernels`] scope: the fleet is the one level of
-//! parallelism, and kernels inside it stay on their worker's thread.
+//! The fleet is the one level of parallelism: every likelihood kernel is
+//! one sequential pass on the thread stepping its session.
 //!
 //! # Determinism contract
 //!
@@ -21,7 +20,6 @@
 //! share only read-only fitted maps, so which worker steps a session —
 //! and when — is unobservable in its results.
 
-use navicim_backend::par;
 use navicim_core::pipeline::{FrameReport, LocalizationPipeline};
 use navicim_core::CoreError;
 use navicim_math::geom::Pose;
@@ -273,9 +271,6 @@ impl Fleet {
                 .enumerate(),
         );
         let work = || {
-            // One level of parallelism: the fleet. Each session's
-            // kernels stay on the thread stepping it.
-            let _serial = par::serial_kernels();
             loop {
                 // Only `next` runs under the lock and it leaves the
                 // iterator valid, so a poisoned lock hides no torn state.

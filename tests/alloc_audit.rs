@@ -1,29 +1,24 @@
 //! Runtime allocation sanitizer: the zero-alloc steady-state contract,
 //! hard-asserted through the counting global allocator.
 //!
-//! Compiled only with `--features alloc-audit`, which swaps the test
-//! binary's global allocator for [`navicim::math::alloc_audit`]'s
-//! counting wrapper. Each test warms a kernel/pipeline until its scratch
-//! buffers have grown to the working set, then re-runs the exact same
-//! workload and asserts **zero** heap acquisitions (allocs + reallocs).
+//! Built only with `--features alloc-audit` (`required-features` in the
+//! root manifest), which swaps the binary's global allocator for
+//! [`navicim::math::alloc_audit`]'s counting wrapper. Each case warms a
+//! kernel/pipeline until its scratch buffers have grown to the working
+//! set, then re-runs the exact same workload and asserts **zero** heap
+//! acquisitions (allocs + reallocs).
 //!
-//! The contract covers the sequential production paths only — a single
-//! chunk for the batch kernels, `workers: 1` for the fleet. Threaded
-//! paths allocate by design (thread spawning already does) and are
-//! outside the audited scope.
+//! The allocator counters are process-global, so this target runs
+//! without the libtest harness (`harness = false`): [`main`] runs every
+//! case in turn on the main thread, with no other thread alive to be
+//! charged to an audited window. The fleet case runs at `workers: 1`,
+//! where the caller works the loop alone and spawns nothing.
 //!
-//! The allocator counters are process-global and `cargo test` runs tests
-//! in parallel threads, so every exact-zero assertion serializes behind
-//! [`LOCK`]; anything else would count a neighbouring test's allocations.
-
-#![cfg(feature = "alloc-audit")]
-
-use std::sync::Mutex;
+//! Run: `cargo test --features alloc-audit --test alloc_audit`
 
 use navicim::analog::engine::{CimEngineConfig, HmgmCimEngine};
 use navicim::analog::mapping::SpaceMap;
-use navicim::backend::par::ChunkPolicy;
-use navicim::backend::PointBatch;
+use navicim::backend::{LikelihoodBackend, PointBatch};
 use navicim::core::localization::LocalizerConfig;
 use navicim::core::pipeline::{GateConfig, LocalizationPipeline};
 use navicim::core::registry::DIGITAL_GMM;
@@ -34,10 +29,31 @@ use navicim::math::alloc_audit;
 use navicim::scene::dataset::{LocalizationConfig, LocalizationDataset};
 use navicim::serve::{Fleet, FleetConfig};
 
-/// Serializes every exact-zero assertion: the counting allocator is
-/// process-global, so a concurrently running test would be charged to
-/// the audited region.
-static LOCK: Mutex<()> = Mutex::new(());
+fn main() {
+    let cases: [(&str, fn()); 5] = [
+        ("gmm_batch_kernel", gmm_batch_kernel_is_zero_alloc_when_warm),
+        (
+            "hmgm_batch_kernel",
+            hmgm_batch_kernel_is_zero_alloc_when_warm,
+        ),
+        (
+            "cim_engine_batch_path",
+            cim_engine_batch_path_is_zero_alloc_when_warm,
+        ),
+        ("pipeline_step", pipeline_step_is_zero_alloc_after_warm_pass),
+        (
+            "fleet_step_round",
+            fleet_step_round_is_zero_alloc_after_warm_pass,
+        ),
+    ];
+    for (name, case) in cases {
+        // A failing case panics right after its name: the process exits
+        // non-zero and later cases do not run.
+        println!("alloc audit {name} ...");
+        case();
+    }
+    println!("alloc audit: {} cases ok", cases.len());
+}
 
 /// Runs `f` under the allocation counter and asserts it acquired zero
 /// heap memory (no allocs, no growing reallocs). Frees are permitted —
@@ -56,12 +72,6 @@ fn assert_zero_alloc<T>(label: &str, f: impl FnOnce() -> T) -> T {
     value
 }
 
-/// One chunk, no worker threads: the sequential production path whose
-/// steady state the zero-alloc contract covers.
-fn sequential(n: usize) -> ChunkPolicy {
-    ChunkPolicy::exact(n, 1)
-}
-
 fn query_batch(dim: usize, n: usize) -> PointBatch {
     let mut batch = PointBatch::new(dim);
     for i in 0..n {
@@ -74,9 +84,7 @@ fn query_batch(dim: usize, n: usize) -> PointBatch {
     batch
 }
 
-#[test]
 fn gmm_batch_kernel_is_zero_alloc_when_warm() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut gmm = Gmm::new(
         vec![0.6, 0.4],
         vec![vec![-0.5, 0.0, 0.2], vec![0.6, 0.3, -0.4]],
@@ -85,36 +93,30 @@ fn gmm_batch_kernel_is_zero_alloc_when_warm() {
     .expect("gmm builds");
     let batch = query_batch(3, 64);
     let mut out = vec![0.0; batch.len()];
-    let policy = sequential(batch.len());
     // Warm pass sizes the struct-held scratch to the component count.
-    gmm.log_likelihood_into_policy(&batch, &mut out, policy);
+    gmm.log_likelihood_into(&batch, &mut out);
     let warm = out.clone();
-    assert_zero_alloc("Gmm::log_likelihood_into_policy", || {
-        gmm.log_likelihood_into_policy(&batch, &mut out, policy);
+    assert_zero_alloc("Gmm::log_likelihood_into", || {
+        gmm.log_likelihood_into(&batch, &mut out);
     });
     assert_eq!(out, warm, "steady-state pass changed the output bits");
 }
 
-#[test]
 fn hmgm_batch_kernel_is_zero_alloc_when_warm() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let k1 = HmgKernel::new(vec![-0.5, 0.0, 0.2], vec![0.4; 3], 1.0).expect("kernel");
     let k2 = HmgKernel::new(vec![0.6, 0.3, -0.4], vec![0.5; 3], 1.0).expect("kernel");
     let mut model = HmgmModel::new(vec![1.0, 0.5], vec![k1, k2]).expect("model builds");
     let batch = query_batch(3, 64);
     let mut out = vec![0.0; batch.len()];
-    let policy = sequential(batch.len());
-    model.log_likelihood_into_policy(&batch, &mut out, policy);
+    model.log_likelihood_into(&batch, &mut out);
     let warm = out.clone();
-    assert_zero_alloc("HmgmModel::log_likelihood_into_policy", || {
-        model.log_likelihood_into_policy(&batch, &mut out, policy);
+    assert_zero_alloc("HmgmModel::log_likelihood_into", || {
+        model.log_likelihood_into(&batch, &mut out);
     });
     assert_eq!(out, warm, "steady-state pass changed the output bits");
 }
 
-#[test]
 fn cim_engine_batch_path_is_zero_alloc_when_warm() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let pts = vec![vec![-1.0, -1.0, -1.0], vec![1.0, 1.0, 1.0]];
     let map = SpaceMap::fit_to_points(&pts, 0.15, 0.85, 0.2).expect("map fits");
     let tech = TechParams::cmos_45nm();
@@ -127,14 +129,13 @@ fn cim_engine_batch_path_is_zero_alloc_when_warm() {
         HmgmCimEngine::build(&model, map, CimEngineConfig::default()).expect("engine builds");
     let batch = query_batch(3, 64);
     let mut out = vec![0.0; batch.len()];
-    let policy = sequential(batch.len());
     // Two warm passes: the first sizes the scratch, and the engine's
     // noise stream advances per evaluation, so outputs differ between
     // passes by design — only the allocation count must reach zero.
-    engine.log_likelihood_into_chunked(&batch, &mut out, policy);
-    engine.log_likelihood_into_chunked(&batch, &mut out, policy);
-    assert_zero_alloc("HmgmCimEngine::log_likelihood_into_chunked", || {
-        engine.log_likelihood_into_chunked(&batch, &mut out, policy);
+    engine.log_likelihood_into(&batch, &mut out);
+    engine.log_likelihood_into(&batch, &mut out);
+    assert_zero_alloc("HmgmCimEngine::log_likelihood_into", || {
+        engine.log_likelihood_into(&batch, &mut out);
     });
 }
 
@@ -167,9 +168,7 @@ fn audit_config() -> LocalizerConfig {
 /// Drives `step` across the dataset twice and asserts the second pass —
 /// identical observations, so identical per-frame working sets — is
 /// allocation-free.
-#[test]
 fn pipeline_step_is_zero_alloc_after_warm_pass() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let ds = audit_dataset();
     let mut pipeline = LocalizationPipeline::build(&ds, audit_config()).expect("pipeline builds");
     let controls = ds.control_deltas();
@@ -190,9 +189,7 @@ fn pipeline_step_is_zero_alloc_after_warm_pass() {
 /// Same contract for the fleet loop at `workers: 1` (the caller works
 /// the loop alone, no spawn): after one pass over the dataset, further
 /// rounds must not acquire heap memory.
-#[test]
 fn fleet_step_round_is_zero_alloc_after_warm_pass() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let ds = audit_dataset();
     let prototype = LocalizationPipeline::build(&ds, audit_config()).expect("prototype builds");
     let mut fleet =
